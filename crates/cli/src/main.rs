@@ -324,17 +324,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 
     if let Some(dir) = flag_value(args, "--db") {
         let db = Database::open(dir).map_err(|e| e.to_string())?;
-        db.save(&report).map_err(|e| e.to_string())?;
-        // Record what the measurement depended on, so a later `loupe
-        // sweep` over an unchanged app serves this report from cache.
-        if report.is_linux_baseline() {
-            db.record_provenance(
-                loupe_db::ns::BASELINES,
-                &loupe_db::baseline_key(&report.app, report.workload),
-                loupe_sweep::baseline_inputs(app.as_ref(), workload, &cfg),
-                Default::default(),
-            );
-        }
+        save_baseline(&db, app.as_ref(), &cfg, &report)?;
         db.flush().map_err(|e| e.to_string())?;
         eprintln!("stored in {dir}");
     }
@@ -342,6 +332,27 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 }
 
 const DEFAULT_DB: &str = "target/loupedb";
+
+/// Stores a report measured outside a sweep and, for a full-Linux
+/// baseline, the provenance the baseline stage records — so a later
+/// `loupe sweep` over the unchanged app serves it from cache.
+fn save_baseline(
+    db: &Database,
+    app: &dyn loupe_apps::AppModel,
+    analysis: &AnalysisConfig,
+    report: &loupe_core::AppReport,
+) -> Result<(), String> {
+    db.save(report).map_err(|e| e.to_string())?;
+    if report.is_linux_baseline() {
+        db.record_provenance(
+            loupe_db::ns::BASELINES,
+            &loupe_db::baseline_key(&report.app, report.workload),
+            loupe_sweep::baseline_inputs(app, report.workload, analysis),
+            Default::default(),
+        );
+    }
+    Ok(())
+}
 
 fn parse_workloads(args: &[String]) -> Result<Vec<Workload>, String> {
     match flag_value(args, "--workload") {
@@ -378,6 +389,25 @@ fn select_apps(args: &[String]) -> Result<Vec<Box<dyn loupe_apps::AppModel>>, St
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
     let db = Database::open(db_dir).map_err(|e| e.to_string())?;
+    let result = sweep_passes(args, &db, db_dir);
+    // One tally over every pass that ran (baselines, matrix, statics,
+    // plans), persisted once whether or not a pass failed.
+    let cache = db.session_cache_stats();
+    if cache.is_empty() {
+        return result;
+    }
+    let t = cache.total();
+    println!(
+        "cache: {} hits, {} misses, {} stale (details: `loupe cache stats --db {db_dir}`)",
+        t.hits, t.misses, t.stale
+    );
+    let persisted = db.persist_sweep_stats().map_err(|e| e.to_string());
+    result.and(persisted)
+}
+
+/// The passes of `loupe sweep`: baselines or the matrix, then the
+/// optional static and plan-validation passes.
+fn sweep_passes(args: &[String], db: &Database, db_dir: &str) -> Result<(), String> {
     let workloads = parse_workloads(args)?;
     let workers = flag_value(args, "--workers")
         .map(|v| v.parse::<usize>().map_err(|_| "bad --workers".to_owned()))
@@ -438,9 +468,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         },
     };
     let summary = match &matrix_oses {
-        None => Sweep::new(sweep_cfg).run(&db, apps),
+        None => Sweep::new(sweep_cfg).run(db, apps),
         Some(oses) => loupe_sweep::sweep_matrix(
-            &db,
+            db,
             apps,
             &loupe_sweep::MatrixConfig {
                 oses: oses.clone(),
@@ -506,14 +536,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             );
         }
     }
-    if !summary.cache.is_empty() {
-        let t = summary.cache.total();
-        println!(
-            "cache: {} hits, {} misses, {} stale (details: `loupe cache stats --db {db_dir}`)",
-            t.hits, t.misses, t.stale
-        );
-    }
-    db.persist_sweep_stats().map_err(|e| e.to_string())?;
     for f in &summary.failures {
         eprintln!("  failed: {} ({}): {}", f.app, f.workload, f.error);
     }
@@ -526,7 +548,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--static") {
         // Same fleet selection as the dynamic pass (static analysis is
         // workload-independent: one report per app and level).
-        let statics = loupe_sweep::sweep_static(&db, select_apps(args)?, workers, force)
+        let statics = loupe_sweep::sweep_static(db, select_apps(args)?, workers, force)
             .map_err(|e| e.to_string())?;
         println!(
             "static analysis: {} entries ({} analyzed, {} cached) under {}/static",
@@ -538,7 +560,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     }
     if args.iter().any(|a| a == "--validate-plans") {
         let validations =
-            loupe_sweep::validate_curated_plans(&db, &workloads).map_err(|e| e.to_string())?;
+            loupe_sweep::validate_curated_plans(db, &workloads).map_err(|e| e.to_string())?;
         let invalid: Vec<&loupe_plan::PlanValidation> =
             validations.iter().filter(|v| !v.is_valid()).collect();
         let early: usize = validations.iter().map(|v| v.early_steps().len()).sum();
@@ -562,9 +584,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             ));
         }
     }
-    // The static and plan-validation passes add cache decisions after
-    // the first persist; record the final tallies.
-    db.persist_sweep_stats().map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -847,8 +866,9 @@ fn cmd_gentests(args: &[String]) -> Result<(), String> {
         summary.stats.len(),
         db_dir
     );
-    if !summary.base.cache.is_empty() {
-        let t = summary.base.cache.total();
+    let cache = db.session_cache_stats();
+    if !cache.is_empty() {
+        let t = cache.total();
         println!(
             "cache: {} hits, {} misses, {} stale (details: `loupe cache stats --db {db_dir}`)",
             t.hits, t.misses, t.stale
@@ -1047,15 +1067,7 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
                     .analyze(app.as_ref(), workload)
                     .map_err(|e| e.to_string())?;
                 if let Some(db) = &db {
-                    db.save(&r).map_err(|e| e.to_string())?;
-                    if r.is_linux_baseline() {
-                        db.record_provenance(
-                            loupe_db::ns::BASELINES,
-                            &loupe_db::baseline_key(&r.app, r.workload),
-                            loupe_sweep::baseline_inputs(app.as_ref(), workload, &analysis),
-                            Default::default(),
-                        );
-                    }
+                    save_baseline(db, app.as_ref(), &analysis, &r)?;
                 }
                 r
             }
@@ -1074,13 +1086,15 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
         if let Some(db) = &db {
             db.save_plan_validation(&validation)
                 .map_err(|e| e.to_string())?;
-            let mut inputs = std::collections::BTreeMap::new();
-            inputs.insert("os".to_owned(), loupe_core::fingerprint_of(&spec));
-            inputs.insert("requirements".to_owned(), loupe_core::fingerprint_of(&reqs));
+            // The provenance the plan stage records, so a later
+            // `sweep --validate-plans` serves this validation from cache.
             db.record_provenance(
                 loupe_db::ns::PLANS,
                 &loupe_db::plan_key(&spec.name, workload),
-                inputs,
+                loupe_sweep::plan_inputs(
+                    loupe_core::fingerprint_of(&spec),
+                    loupe_core::fingerprint_of(&reqs),
+                ),
                 Default::default(),
             );
             db.flush().map_err(|e| e.to_string())?;

@@ -350,3 +350,55 @@ fn ingest_round_trips_the_vendored_kerla_table_and_rejects_corruption() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--from"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn sweep_cache_line_counts_the_static_and_plan_passes() {
+    let dir = tmpdir("sweep-cache-line");
+    let sweep = || {
+        let out = loupe()
+            .args([
+                "sweep",
+                "--workload",
+                "health",
+                "--apps",
+                "hello-musl-static",
+                "--static",
+                "--validate-plans",
+                "--db",
+            ])
+            .arg(&dir)
+            .output()
+            .expect("spawn loupe");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "stdout: {stdout}\nstderr: {stderr}");
+        stdout
+    };
+    // 1 baseline + 4 static levels + one plan validation per curated OS.
+    let decisions = 1 + 4 + loupe_plan::os::db().len();
+    let cold = sweep();
+    assert_eq!(
+        cold.matches("cache: ").count(),
+        1,
+        "one cache line per sweep: {cold}"
+    );
+    assert!(
+        cold.contains(&format!("cache: 0 hits, {decisions} misses, 0 stale")),
+        "{cold}"
+    );
+    let warm = sweep();
+    assert!(
+        warm.contains(&format!("cache: {decisions} hits, 0 misses, 0 stale")),
+        "{warm}"
+    );
+    // The persisted tallies cover the same passes.
+    let out = loupe()
+        .args(["cache", "stats", "--db"])
+        .arg(&dir)
+        .output()
+        .expect("spawn loupe");
+    let stats = String::from_utf8_lossy(&out.stdout);
+    let total = format!("{:<12} {:>6} {:>8} {:>6}", "total", decisions, 0, 0);
+    assert!(stats.contains(&total), "{stats}");
+    std::fs::remove_dir_all(&dir).ok();
+}

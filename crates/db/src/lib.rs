@@ -34,7 +34,7 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -52,7 +52,9 @@ pub mod manifest;
 pub mod snapshot;
 
 pub use lock::{FileLock, LOCK_FILE};
-pub use manifest::{ns, ArtifactRecord, CacheCounters, CacheStats, Manifest, MANIFEST_VERSION};
+pub use manifest::{
+    ns, ArtifactRecord, CacheCounters, CacheStats, Decision, Manifest, Provenance, MANIFEST_VERSION,
+};
 
 /// A directory-backed measurement database.
 ///
@@ -331,14 +333,241 @@ impl From<io::Error> for DbError {
     }
 }
 
-/// The inverse of `<workload>.json` entry filenames: the single place
-/// that maps a stored file name back to its [`Workload`], shared by
-/// every namespace listing (baselines, plan verdicts, matrix cells).
-fn workload_from_filename(name: &str) -> Option<Workload> {
-    Workload::ALL
-        .iter()
-        .copied()
-        .find(|w| name == format!("{}.json", w.label()))
+/// One piece of a namespace's on-disk path.
+#[derive(Clone, Copy, PartialEq)]
+enum Seg {
+    /// A literal directory name.
+    Dir(&'static str),
+    /// A key segment naming an OS (or a restricted environment).
+    Os,
+    /// A key segment naming an application.
+    App,
+    /// A key segment that must be a workload label.
+    Workload,
+    /// A key segment that must be a static-analysis level label; the
+    /// pre-ladder `binary`/`source` directories read as L0/L3.
+    Level,
+}
+
+impl Seg {
+    /// The key segment a stored directory or file stem stands for, if
+    /// it is a valid one.
+    fn canonical(self, name: &str) -> Option<String> {
+        match self {
+            Seg::Workload => workload_of(name).map(|_| name.to_owned()),
+            Seg::Level => level_of(name).map(|l| l.label().to_owned()),
+            Seg::Dir(_) | Seg::Os | Seg::App => Some(name.to_owned()),
+        }
+    }
+}
+
+/// Path ↔ key layout of one namespace, relative to the database root:
+/// the key's segments appear in the path in key order, and the last
+/// one names the `.json` file.
+struct Layout {
+    ns: &'static str,
+    path: &'static [Seg],
+}
+
+/// Full-Linux baselines at the root, the shape every loupedb has always
+/// had: `<app>/<wl>.json`.
+const BASELINES: Layout = Layout {
+    ns: ns::BASELINES,
+    path: &[Seg::App, Seg::Workload],
+};
+/// Restricted-environment reports, segregated so they can never be
+/// confused with a baseline: `env/<env>/<app>/<wl>.json`.
+const ENV: Layout = Layout {
+    ns: ns::ENV,
+    path: &[Seg::Dir("env"), Seg::Os, Seg::App, Seg::Workload],
+};
+/// Matrix cells inside their OS's environment (no app may be called
+/// `matrix`): `env/<os>/matrix/<app>/<wl>.json`.
+const MATRIX: Layout = Layout {
+    ns: ns::MATRIX,
+    path: &[
+        Seg::Dir("env"),
+        Seg::Os,
+        Seg::Dir("matrix"),
+        Seg::App,
+        Seg::Workload,
+    ],
+};
+/// `plans/<os>/<wl>.json`.
+const PLANS: Layout = Layout {
+    ns: ns::PLANS,
+    path: &[Seg::Dir("plans"), Seg::Os, Seg::Workload],
+};
+/// `gentests/<os>/<wl>/<app>.json`.
+const SUITES: Layout = Layout {
+    ns: ns::SUITES,
+    path: &[Seg::Dir("gentests"), Seg::Os, Seg::Workload, Seg::App],
+};
+/// `static/<level>/<app>.json`.
+const STATIC: Layout = Layout {
+    ns: ns::STATIC,
+    path: &[Seg::Dir("static"), Seg::Level, Seg::App],
+};
+
+/// Every tracked namespace's layout, in [`ns::ALL`] order.
+const LAYOUTS: &[&Layout] = &[&BASELINES, &ENV, &MATRIX, &PLANS, &STATIC, &SUITES];
+
+/// Root directories that belong to other namespaces (or to none), so
+/// never to a baseline app.
+const RESERVED: &[&str] = &["env", "plans", "os", "static", "gentests", "index"];
+
+impl Layout {
+    /// The file holding `key`'s artifact under `root`.
+    fn path(&self, root: &Path, key: &str) -> PathBuf {
+        let mut parts = key.split('/');
+        let mut path = root.to_path_buf();
+        for (i, seg) in self.path.iter().enumerate() {
+            let part = match seg {
+                Seg::Dir(dir) => dir,
+                _ => parts.next().expect("key has one segment per layout slot"),
+            };
+            if i + 1 == self.path.len() {
+                path.push(format!("{part}.json"));
+            } else {
+                path.push(part);
+            }
+        }
+        path
+    }
+
+    /// Every key stored under `root`, sorted. A pre-ladder static entry
+    /// and its ladder twin are one key.
+    fn keys(&self, root: &Path) -> Result<BTreeSet<String>, DbError> {
+        let mut out = BTreeSet::new();
+        walk(root, self.path, true, &mut Vec::new(), &mut out)?;
+        Ok(out)
+    }
+
+    /// Whether `key` names the given OS and/or app. A `None` filter
+    /// matches everything; a set filter matches only layouts whose keys
+    /// carry that dimension (baselines have no OS, plans no app).
+    fn matches(&self, key: &str, os: Option<&str>, app: Option<&str>) -> bool {
+        let named = |want: Seg| {
+            self.path
+                .iter()
+                .filter(|s| !matches!(s, Seg::Dir(_)))
+                .zip(key.split('/'))
+                .find_map(|(&seg, part)| (seg == want).then_some(part))
+        };
+        os.is_none_or(|want| named(Seg::Os) == Some(want))
+            && app.is_none_or(|want| named(Seg::App) == Some(want))
+    }
+}
+
+/// The one namespace walker: descends `segs` from `dir`, collecting the
+/// key of every entry that fits the layout.
+fn walk(
+    dir: &Path,
+    segs: &[Seg],
+    top: bool,
+    key: &mut Vec<String>,
+    out: &mut BTreeSet<String>,
+) -> Result<(), DbError> {
+    let Some((&seg, rest)) = segs.split_first() else {
+        out.insert(key.join("/"));
+        return Ok(());
+    };
+    if let Seg::Dir(name) = seg {
+        return walk(&dir.join(name), rest, false, key, out);
+    }
+    let entries = match fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e.into()),
+    };
+    for entry in entries {
+        let entry = entry?;
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let stem = if rest.is_empty() {
+            name.strip_suffix(".json")
+        } else if entry.file_type()?.is_dir() && !(top && RESERVED.contains(&name.as_str())) {
+            Some(name.as_str())
+        } else {
+            None
+        };
+        let Some(part) = stem.and_then(|stem| seg.canonical(stem)) else {
+            continue;
+        };
+        key.push(part);
+        walk(&entry.path(), rest, false, key, out)?;
+        key.pop();
+    }
+    Ok(())
+}
+
+/// The [`Workload`] a stored label names.
+fn workload_of(label: &str) -> Option<Workload> {
+    Workload::ALL.iter().copied().find(|w| w.label() == label)
+}
+
+/// The [`Level`] a stored label names, ladder or pre-ladder.
+fn level_of(label: &str) -> Option<Level> {
+    Level::ALL
+        .into_iter()
+        .find(|l| l.label() == label || l.legacy_label() == Some(label))
+}
+
+/// A namespace the database keeps a binary snapshot of.
+trait Artifact: Clone + serde::Serialize + serde::Deserialize {
+    const LAYOUT: Layout;
+
+    fn slot(shared: &Shared) -> &SnapshotSlot<Self>;
+
+    /// Reads one stored entry from its JSON file.
+    fn read(db: &Database, key: &str) -> Result<Option<Self>, DbError> {
+        read_json(&Self::LAYOUT.path(db.root(), key))
+    }
+}
+
+impl Artifact for AppReport {
+    const LAYOUT: Layout = BASELINES;
+
+    fn slot(shared: &Shared) -> &SnapshotSlot<Self> {
+        &shared.baselines
+    }
+}
+
+impl Artifact for MatrixCell {
+    const LAYOUT: Layout = MATRIX;
+
+    fn slot(shared: &Shared) -> &SnapshotSlot<Self> {
+        &shared.matrix
+    }
+}
+
+impl Artifact for ConformanceSuite {
+    const LAYOUT: Layout = SUITES;
+
+    fn slot(shared: &Shared) -> &SnapshotSlot<Self> {
+        &shared.suites
+    }
+}
+
+impl Artifact for StaticReport {
+    const LAYOUT: Layout = STATIC;
+
+    fn slot(shared: &Shared) -> &SnapshotSlot<Self> {
+        &shared.statics
+    }
+
+    /// Falls back to the pre-ladder location (`static/binary/`,
+    /// `static/source/`), so databases written before the L0–L3 ladder
+    /// keep serving their artifacts; writes always use the ladder path.
+    fn read(db: &Database, key: &str) -> Result<Option<Self>, DbError> {
+        if let Some(report) = read_json(&STATIC.path(db.root(), key))? {
+            return Ok(Some(report));
+        }
+        let (label, app) = key.split_once('/').expect("static key is level/app");
+        match level_of(label).and_then(Level::legacy_label) {
+            Some(legacy) => read_json(&STATIC.path(db.root(), &format!("{legacy}/{app}"))),
+            None => Ok(None),
+        }
+    }
 }
 
 /// Manifest key of a full-Linux baseline report.
@@ -432,17 +661,17 @@ impl Database {
         &self.shared.root
     }
 
-    fn entry_path(&self, env: &str, app: &str, workload: Workload) -> PathBuf {
-        // Full-Linux baselines live at the root (the shape every loupedb
-        // has always had); restricted-environment measurements are
-        // segregated under `env/<name>/` so they can never be confused
-        // with a baseline by the cache key.
-        let base = if env == LINUX_ENV {
-            self.shared.root.clone()
-        } else {
-            self.shared.root.join("env").join(env)
-        };
-        base.join(app).join(format!("{}.json", workload.label()))
+    /// Writes `value` as the artifact at `key` of `layout`'s namespace
+    /// and updates its manifest record. Callers hold the writer lock.
+    fn store_locked<T: serde::Serialize>(
+        &self,
+        layout: &Layout,
+        key: &str,
+        value: &T,
+    ) -> Result<(), DbError> {
+        write_json(&layout.path(self.root(), key), value)?;
+        self.shared.record_artifact(layout.ns, key, value);
+        Ok(())
     }
 
     /// Stores a report, conservatively merging with any existing entry for
@@ -488,22 +717,19 @@ impl Database {
             Some(existing) => merge_reports(&existing, report),
             None => report.clone(),
         };
-        let path = self.entry_path(&report.env, &report.app, report.workload);
-        write_json(&path, &merged)?;
         if report.env == LINUX_ENV {
-            self.shared.record_artifact(
-                ns::BASELINES,
+            self.store_locked(
+                &BASELINES,
                 &baseline_key(&report.app, report.workload),
                 &merged,
-            );
+            )
         } else {
-            self.shared.record_artifact(
-                ns::ENV,
+            self.store_locked(
+                &ENV,
                 &env_key(&report.env, &report.app, report.workload),
                 &merged,
-            );
+            )
         }
-        Ok(())
     }
 
     /// Loads the stored *full-Linux baseline* for `(app, workload)`, if
@@ -533,15 +759,10 @@ impl Database {
         workload: Workload,
     ) -> Result<Option<AppReport>, DbError> {
         if env == LINUX_ENV {
-            if let Some(hit) = self.cached_entry(
-                &self.shared.baselines,
-                ns::BASELINES,
-                &baseline_key(app, workload),
-            ) {
-                return Ok(Some(hit));
-            }
+            self.point(&baseline_key(app, workload))
+        } else {
+            read_json(&ENV.path(self.root(), &env_key(env, app, workload)))
         }
-        read_json(&self.entry_path(env, app, workload))
     }
 
     /// On-disk binary index of one namespace.
@@ -552,40 +773,43 @@ impl Database {
             .join(format!("{namespace}.bin"))
     }
 
-    /// Serves one entry from a namespace's snapshot if one is fresh
-    /// and holds the key. The first point read at a generation lazily
-    /// *maps* the disk snapshot (no value decode) and subsequent reads
-    /// decode single values out of the mapping; a full decode only
-    /// happens on bulk loads. Anything else (no snapshot, stale, key
-    /// absent, malformed value) falls back to the JSON file — files
-    /// written out-of-band stay visible.
-    fn cached_entry<T: Clone + serde::Deserialize>(
-        &self,
-        slot: &SnapshotSlot<T>,
-        namespace: &str,
-        key: &str,
-    ) -> Option<T> {
-        let mut guard = slot.lock().expect("snapshot lock");
+    /// Reads one entry of a snapshotted namespace: from the snapshot if
+    /// one is fresh and holds the key, else from the JSON file. The
+    /// first point read at a generation lazily *maps* the disk snapshot
+    /// (no value decode) and subsequent reads decode single values out
+    /// of the mapping; a full decode only happens on bulk loads.
+    /// Anything else (no snapshot, stale, key absent, malformed value)
+    /// falls back to the JSON file — files written out-of-band stay
+    /// visible.
+    fn point<T: Artifact>(&self, key: &str) -> Result<Option<T>, DbError> {
+        let namespace = T::LAYOUT.ns;
+        let mut guard = T::slot(&self.shared).lock().expect("snapshot lock");
         let generation = self.shared.generation(namespace);
-        match &*guard {
-            SlotState::Decoded(g, map) if *g == generation => return map.get(key).cloned(),
+        let hit = match &*guard {
+            SlotState::Decoded(g, map) if *g == generation => map.get(key).cloned(),
             SlotState::Mapped(g, snap) if *g == generation => {
-                return snap.get(key).and_then(|v| T::from_value(&v).ok());
+                snap.get(key).and_then(|v| T::from_value(&v).ok())
             }
-            SlotState::Unavailable(g) if *g == generation => return None,
-            _ => {}
-        }
-        let expected = self.shared.namespace_state(namespace);
-        match snapshot::MappedSnapshot::open(&self.index_path(namespace), expected) {
-            Some(snap) => {
-                let hit = snap.get(key).and_then(|v| T::from_value(&v).ok());
-                *guard = SlotState::Mapped(generation, snap);
-                hit
+            SlotState::Unavailable(g) if *g == generation => None,
+            _ => {
+                let expected = self.shared.namespace_state(namespace);
+                match snapshot::MappedSnapshot::open(&self.index_path(namespace), expected) {
+                    Some(snap) => {
+                        let hit = snap.get(key).and_then(|v| T::from_value(&v).ok());
+                        *guard = SlotState::Mapped(generation, snap);
+                        hit
+                    }
+                    None => {
+                        *guard = SlotState::Unavailable(generation);
+                        None
+                    }
+                }
             }
-            None => {
-                *guard = SlotState::Unavailable(generation);
-                None
-            }
+        };
+        drop(guard);
+        match hit {
+            Some(hit) => Ok(Some(hit)),
+            None => T::read(self, key),
         }
     }
 
@@ -593,16 +817,9 @@ impl Database {
     /// the binary disk snapshot if its content-addressed state matches,
     /// else a rebuild from the JSON tree (which also backfills the
     /// manifest and rewrites the disk snapshot).
-    fn bulk<T>(
-        &self,
-        namespace: &'static str,
-        slot: &SnapshotSlot<T>,
-        rebuild: impl FnOnce() -> Result<Vec<(String, T)>, DbError>,
-    ) -> Result<Arc<BTreeMap<String, T>>, DbError>
-    where
-        T: Clone + serde::Serialize + serde::Deserialize,
-    {
-        let mut guard = slot.lock().expect("snapshot lock");
+    fn bulk<T: Artifact>(&self) -> Result<Arc<BTreeMap<String, T>>, DbError> {
+        let namespace = T::LAYOUT.ns;
+        let mut guard = T::slot(&self.shared).lock().expect("snapshot lock");
         let generation = self.shared.generation(namespace);
         if let SlotState::Decoded(g, map) = &*guard {
             if *g == generation {
@@ -633,7 +850,12 @@ impl Database {
         let map = match decoded {
             Some(map) => map,
             None => {
-                let entries = rebuild()?;
+                let mut entries = Vec::new();
+                for key in T::LAYOUT.keys(self.root())? {
+                    if let Some(value) = T::read(self, &key)? {
+                        entries.push((key, value));
+                    }
+                }
                 self.shared.adopt_outputs(namespace, &entries);
                 let map: BTreeMap<String, T> = entries.into_iter().collect();
                 let state = self.shared.namespace_state(namespace);
@@ -651,57 +873,6 @@ impl Database {
         Ok(map)
     }
 
-    fn bulk_baselines(&self) -> Result<Arc<BTreeMap<String, AppReport>>, DbError> {
-        self.bulk(ns::BASELINES, &self.shared.baselines, || {
-            let mut out = Vec::new();
-            for (app, workload) in self.list()? {
-                let path = self.entry_path(LINUX_ENV, &app, workload);
-                if let Some(report) = read_json::<AppReport>(&path)? {
-                    out.push((baseline_key(&app, workload), report));
-                }
-            }
-            Ok(out)
-        })
-    }
-
-    fn bulk_matrix(&self) -> Result<Arc<BTreeMap<String, MatrixCell>>, DbError> {
-        self.bulk(ns::MATRIX, &self.shared.matrix, || {
-            let mut out = Vec::new();
-            for (os, app, workload) in self.list_matrix_cells()? {
-                let path = self.matrix_path(&os, &app, workload);
-                if let Some(cell) = read_json::<MatrixCell>(&path)? {
-                    out.push((matrix_key(&os, &app, workload), cell));
-                }
-            }
-            Ok(out)
-        })
-    }
-
-    fn bulk_suites(&self) -> Result<Arc<BTreeMap<String, ConformanceSuite>>, DbError> {
-        self.bulk(ns::SUITES, &self.shared.suites, || {
-            let mut out = Vec::new();
-            for (os, app, workload) in self.list_suites()? {
-                let path = self.suite_path(&os, &app, workload);
-                if let Some(suite) = read_json::<ConformanceSuite>(&path)? {
-                    out.push((suite_key(&os, &app, workload), suite));
-                }
-            }
-            Ok(out)
-        })
-    }
-
-    fn bulk_statics(&self) -> Result<Arc<BTreeMap<String, StaticReport>>, DbError> {
-        self.bulk(ns::STATIC, &self.shared.statics, || {
-            let mut out = Vec::new();
-            for (level, app) in self.list_static()? {
-                if let Some(report) = self.read_static(level, &app)? {
-                    out.push((static_key(level, &app), report));
-                }
-            }
-            Ok(out)
-        })
-    }
-
     /// Warms every namespace snapshot (building binary indices as
     /// needed) so subsequent point and bulk reads are served from
     /// memory. Sweeps call this once up front.
@@ -710,19 +881,11 @@ impl Database {
     ///
     /// I/O failures and corrupt entries.
     pub fn preload(&self) -> Result<(), DbError> {
-        self.bulk_baselines()?;
-        self.bulk_matrix()?;
-        self.bulk_suites()?;
-        self.bulk_statics()?;
+        self.bulk::<AppReport>()?;
+        self.bulk::<MatrixCell>()?;
+        self.bulk::<ConformanceSuite>()?;
+        self.bulk::<StaticReport>()?;
         Ok(())
-    }
-
-    /// Whether a full-Linux baseline entry for `(app, workload)` is
-    /// stored (cheap: a file probe, no parsing) — for tooling that only
-    /// needs existence; the sweep driver itself loads the entry since a
-    /// cache hit is returned.
-    pub fn contains(&self, app: &str, workload: Workload) -> bool {
-        self.entry_path(LINUX_ENV, app, workload).is_file()
     }
 
     /// Loads every stored report for one workload, sorted by app name —
@@ -732,7 +895,7 @@ impl Database {
     ///
     /// I/O failures and corrupt entries.
     pub fn load_workload(&self, workload: Workload) -> Result<Vec<AppReport>, DbError> {
-        let map = self.bulk_baselines()?;
+        let map = self.bulk::<AppReport>()?;
         let mut out: Vec<AppReport> = map
             .values()
             .filter(|r| r.workload == workload && r.is_linux_baseline())
@@ -742,37 +905,29 @@ impl Database {
         Ok(out)
     }
 
+    /// The stored keys of `layout`'s namespace, parsed by `parse` from
+    /// their `/`-separated segments and sorted.
+    fn list_keys<K: Ord>(
+        &self,
+        layout: &Layout,
+        parse: impl Fn(&[&str]) -> Option<K>,
+    ) -> Result<Vec<K>, DbError> {
+        let mut out: Vec<K> = layout
+            .keys(self.root())?
+            .iter()
+            .filter_map(|key| parse(&key.split('/').collect::<Vec<_>>()))
+            .collect();
+        out.sort();
+        Ok(out)
+    }
+
     /// Lists `(app, workload)` pairs present in the database.
     ///
     /// # Errors
     ///
     /// I/O failures.
     pub fn list(&self) -> Result<Vec<(String, Workload)>, DbError> {
-        let mut out = Vec::new();
-        for app_dir in fs::read_dir(&self.shared.root)? {
-            let app_dir = app_dir?;
-            if !app_dir.file_type()?.is_dir() {
-                continue;
-            }
-            let app = app_dir.file_name().to_string_lossy().into_owned();
-            // Non-baseline namespaces sharing the root directory.
-            if matches!(
-                app.as_str(),
-                "env" | "plans" | "os" | "static" | "gentests" | "index"
-            ) {
-                continue;
-            }
-            for entry in fs::read_dir(app_dir.path())? {
-                let entry = entry?;
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let Some(workload) = workload_from_filename(&name) else {
-                    continue;
-                };
-                out.push((app.clone(), workload));
-            }
-        }
-        out.sort();
-        Ok(out)
+        self.list_keys(&BASELINES, |k| Some((k[0].to_owned(), workload_of(k[1])?)))
     }
 
     /// Loads every stored report for `workload` as planner requirements.
@@ -799,14 +954,11 @@ impl Database {
     /// I/O and serialisation failures.
     pub fn save_plan_validation(&self, validation: &PlanValidation) -> Result<(), DbError> {
         let _writer = self.shared.lock_writers()?;
-        let path = self.plan_path(&validation.os, validation.workload);
-        write_json(&path, validation)?;
-        self.shared.record_artifact(
-            ns::PLANS,
+        self.store_locked(
+            &PLANS,
             &plan_key(&validation.os, validation.workload),
             validation,
-        );
-        Ok(())
+        )
     }
 
     /// Loads the stored validation for `(os, workload)`, if any.
@@ -819,7 +971,7 @@ impl Database {
         os: &str,
         workload: Workload,
     ) -> Result<Option<PlanValidation>, DbError> {
-        read_json(&self.plan_path(os, workload))
+        read_json(&PLANS.path(self.root(), &plan_key(os, workload)))
     }
 
     /// Lists `(os, workload)` pairs with stored plan validations.
@@ -828,38 +980,7 @@ impl Database {
     ///
     /// I/O failures.
     pub fn list_plan_validations(&self) -> Result<Vec<(String, Workload)>, DbError> {
-        let root = self.shared.root.join("plans");
-        let mut out = Vec::new();
-        let entries = match fs::read_dir(&root) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-            Err(e) => return Err(e.into()),
-        };
-        for os_dir in entries {
-            let os_dir = os_dir?;
-            if !os_dir.file_type()?.is_dir() {
-                continue;
-            }
-            let os = os_dir.file_name().to_string_lossy().into_owned();
-            for entry in fs::read_dir(os_dir.path())? {
-                let entry = entry?;
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let Some(workload) = workload_from_filename(&name) else {
-                    continue;
-                };
-                out.push((os.clone(), workload));
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
-
-    fn plan_path(&self, os: &str, workload: Workload) -> PathBuf {
-        self.shared
-            .root
-            .join("plans")
-            .join(os)
-            .join(format!("{}.json", workload.label()))
+        self.list_keys(&PLANS, |k| Some((k[0].to_owned(), workload_of(k[1])?)))
     }
 
     /// Stores a generated conformance suite under
@@ -873,14 +994,11 @@ impl Database {
     /// I/O and serialisation failures.
     pub fn save_suite(&self, suite: &ConformanceSuite) -> Result<(), DbError> {
         let _writer = self.shared.lock_writers()?;
-        let path = self.suite_path(&suite.os, &suite.app, suite.workload);
-        write_json(&path, suite)?;
-        self.shared.record_artifact(
-            ns::SUITES,
+        self.store_locked(
+            &SUITES,
             &suite_key(&suite.os, &suite.app, suite.workload),
             suite,
-        );
-        Ok(())
+        )
     }
 
     /// Loads the stored conformance suite for `(os, app, workload)`, if
@@ -895,14 +1013,7 @@ impl Database {
         app: &str,
         workload: Workload,
     ) -> Result<Option<ConformanceSuite>, DbError> {
-        if let Some(hit) = self.cached_entry(
-            &self.shared.suites,
-            ns::SUITES,
-            &suite_key(os, app, workload),
-        ) {
-            return Ok(Some(hit));
-        }
-        read_json(&self.suite_path(os, app, workload))
+        self.point(&suite_key(os, app, workload))
     }
 
     /// Lists `(os, app, workload)` triples with stored conformance
@@ -912,41 +1023,9 @@ impl Database {
     ///
     /// I/O failures.
     pub fn list_suites(&self) -> Result<Vec<(String, String, Workload)>, DbError> {
-        let root = self.shared.root.join("gentests");
-        let mut out = Vec::new();
-        let entries = match fs::read_dir(&root) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-            Err(e) => return Err(e.into()),
-        };
-        for os_dir in entries {
-            let os_dir = os_dir?;
-            if !os_dir.file_type()?.is_dir() {
-                continue;
-            }
-            let os = os_dir.file_name().to_string_lossy().into_owned();
-            for wl_dir in fs::read_dir(os_dir.path())? {
-                let wl_dir = wl_dir?;
-                if !wl_dir.file_type()?.is_dir() {
-                    continue;
-                }
-                let label = wl_dir.file_name().to_string_lossy().into_owned();
-                let Some(workload) = Workload::ALL.iter().copied().find(|w| w.label() == label)
-                else {
-                    continue;
-                };
-                for entry in fs::read_dir(wl_dir.path())? {
-                    let entry = entry?;
-                    let name = entry.file_name().to_string_lossy().into_owned();
-                    let Some(app) = name.strip_suffix(".json") else {
-                        continue;
-                    };
-                    out.push((os.clone(), app.to_owned(), workload));
-                }
-            }
-        }
-        out.sort();
-        Ok(out)
+        self.list_keys(&SUITES, |k| {
+            Some((k[0].to_owned(), k[2].to_owned(), workload_of(k[1])?))
+        })
     }
 
     /// Loads every stored conformance suite, sorted by `(os, app,
@@ -956,29 +1035,10 @@ impl Database {
     ///
     /// I/O failures and corrupt entries.
     pub fn load_suites(&self) -> Result<Vec<ConformanceSuite>, DbError> {
-        let map = self.bulk_suites()?;
+        let map = self.bulk::<ConformanceSuite>()?;
         let mut out: Vec<ConformanceSuite> = map.values().cloned().collect();
         out.sort_by(|a, b| (&a.os, &a.app, a.workload).cmp(&(&b.os, &b.app, b.workload)));
         Ok(out)
-    }
-
-    fn suite_path(&self, os: &str, app: &str, workload: Workload) -> PathBuf {
-        self.shared
-            .root
-            .join("gentests")
-            .join(os)
-            .join(workload.label())
-            .join(format!("{app}.json"))
-    }
-
-    fn matrix_path(&self, os: &str, app: &str, workload: Workload) -> PathBuf {
-        self.shared
-            .root
-            .join("env")
-            .join(os)
-            .join("matrix")
-            .join(app)
-            .join(format!("{}.json", workload.label()))
     }
 
     /// Stores one fleet × OS compatibility-matrix cell under the
@@ -1022,14 +1082,11 @@ impl Database {
                 }
             }
         }
-        let path = self.matrix_path(&cell.os, &cell.app, cell.workload);
-        write_json(&path, &merged)?;
-        self.shared.record_artifact(
-            ns::MATRIX,
+        self.store_locked(
+            &MATRIX,
             &matrix_key(&cell.os, &cell.app, cell.workload),
             &merged,
-        );
-        Ok(())
+        )
     }
 
     /// Loads the stored matrix cell for `(os, app, workload)`, if any.
@@ -1043,59 +1100,7 @@ impl Database {
         app: &str,
         workload: Workload,
     ) -> Result<Option<MatrixCell>, DbError> {
-        if let Some(hit) = self.cached_entry(
-            &self.shared.matrix,
-            ns::MATRIX,
-            &matrix_key(os, app, workload),
-        ) {
-            return Ok(Some(hit));
-        }
-        read_json(&self.matrix_path(os, app, workload))
-    }
-
-    /// Lists `(os, app, workload)` keys with stored matrix cells.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn list_matrix_cells(&self) -> Result<Vec<(String, String, Workload)>, DbError> {
-        let env_root = self.shared.root.join("env");
-        let mut out = Vec::new();
-        let oses = match fs::read_dir(&env_root) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-            Err(e) => return Err(e.into()),
-        };
-        for os_dir in oses {
-            let os_dir = os_dir?;
-            if !os_dir.file_type()?.is_dir() {
-                continue;
-            }
-            let os = os_dir.file_name().to_string_lossy().into_owned();
-            let matrix_root = os_dir.path().join("matrix");
-            let apps = match fs::read_dir(&matrix_root) {
-                Ok(entries) => entries,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e.into()),
-            };
-            for app_dir in apps {
-                let app_dir = app_dir?;
-                if !app_dir.file_type()?.is_dir() {
-                    continue;
-                }
-                let app = app_dir.file_name().to_string_lossy().into_owned();
-                for entry in fs::read_dir(app_dir.path())? {
-                    let entry = entry?;
-                    let name = entry.file_name().to_string_lossy().into_owned();
-                    let Some(workload) = workload_from_filename(&name) else {
-                        continue;
-                    };
-                    out.push((os.clone(), app.clone(), workload));
-                }
-            }
-        }
-        out.sort();
-        Ok(out)
+        self.point(&matrix_key(os, app, workload))
     }
 
     /// Loads every stored matrix cell, sorted by `(os, app, workload)` —
@@ -1105,47 +1110,12 @@ impl Database {
     ///
     /// I/O failures and corrupt entries.
     pub fn load_matrix(&self) -> Result<Vec<MatrixCell>, DbError> {
-        let map = self.bulk_matrix()?;
+        let map = self.bulk::<MatrixCell>()?;
         let mut out: Vec<MatrixCell> = map.values().cloned().collect();
         out.sort_by(|a, b| {
             (&a.os, &a.app, a.workload.label()).cmp(&(&b.os, &b.app, b.workload.label()))
         });
         Ok(out)
-    }
-
-    fn static_path(&self, level: Level, app: &str) -> PathBuf {
-        self.shared
-            .root
-            .join("static")
-            .join(level.label())
-            .join(format!("{app}.json"))
-    }
-
-    /// The pre-ladder location of a static report (`static/binary/`,
-    /// `static/source/`), for the levels that existed then. Reads fall
-    /// back to it so databases written before the L0–L3 precision
-    /// ladder keep serving their artifacts; writes always use the
-    /// ladder-keyed path.
-    fn static_legacy_path(&self, level: Level, app: &str) -> Option<PathBuf> {
-        level.legacy_label().map(|label| {
-            self.shared
-                .root
-                .join("static")
-                .join(label)
-                .join(format!("{app}.json"))
-        })
-    }
-
-    /// Reads a static report from its ladder path, falling back to the
-    /// legacy location.
-    fn read_static(&self, level: Level, app: &str) -> Result<Option<StaticReport>, DbError> {
-        if let Some(report) = read_json(&self.static_path(level, app))? {
-            return Ok(Some(report));
-        }
-        match self.static_legacy_path(level, app) {
-            Some(path) => read_json(&path),
-            None => Ok(None),
-        }
     }
 
     /// Stores a static-analysis report under
@@ -1161,11 +1131,7 @@ impl Database {
     /// I/O and serialisation failures.
     pub fn save_static(&self, report: &StaticReport) -> Result<(), DbError> {
         let _writer = self.shared.lock_writers()?;
-        let path = self.static_path(report.level, &report.app);
-        write_json(&path, report)?;
-        self.shared
-            .record_artifact(ns::STATIC, &static_key(report.level, &report.app), report);
-        Ok(())
+        self.store_locked(&STATIC, &static_key(report.level, &report.app), report)
     }
 
     /// Loads the stored static report for `(level, app)`, if any.
@@ -1174,20 +1140,7 @@ impl Database {
     ///
     /// I/O failures and corrupt entries.
     pub fn load_static(&self, level: Level, app: &str) -> Result<Option<StaticReport>, DbError> {
-        if let Some(hit) =
-            self.cached_entry(&self.shared.statics, ns::STATIC, &static_key(level, app))
-        {
-            return Ok(Some(hit));
-        }
-        self.read_static(level, app)
-    }
-
-    /// Whether a static entry for `(level, app)` is stored.
-    pub fn contains_static(&self, level: Level, app: &str) -> bool {
-        self.static_path(level, app).is_file()
-            || self
-                .static_legacy_path(level, app)
-                .is_some_and(|p| p.is_file())
+        self.point(&static_key(level, app))
     }
 
     /// Loads every stored static report of one level, sorted by app name.
@@ -1196,7 +1149,7 @@ impl Database {
     ///
     /// I/O failures and corrupt entries.
     pub fn load_static_level(&self, level: Level) -> Result<Vec<StaticReport>, DbError> {
-        let map = self.bulk_statics()?;
+        let map = self.bulk::<StaticReport>()?;
         let mut out: Vec<StaticReport> =
             map.values().filter(|r| r.level == level).cloned().collect();
         out.sort_by(|a, b| a.app.cmp(&b.app));
@@ -1209,29 +1162,7 @@ impl Database {
     ///
     /// I/O failures.
     pub fn list_static(&self) -> Result<Vec<(Level, String)>, DbError> {
-        let mut out = std::collections::BTreeSet::new();
-        let mut scan = |dir: PathBuf, level: Level| -> Result<(), DbError> {
-            let entries = match fs::read_dir(&dir) {
-                Ok(entries) => entries,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-                Err(e) => return Err(e.into()),
-            };
-            for entry in entries {
-                let name = entry?.file_name().to_string_lossy().into_owned();
-                if let Some(app) = name.strip_suffix(".json") {
-                    out.insert((level, app.to_owned()));
-                }
-            }
-            Ok(())
-        };
-        for level in Level::ALL {
-            scan(self.shared.root.join("static").join(level.label()), level)?;
-            // Pre-ladder databases stored L0/L3 under binary/source.
-            if let Some(legacy) = level.legacy_label() {
-                scan(self.shared.root.join("static").join(legacy), level)?;
-            }
-        }
-        Ok(out.into_iter().collect())
+        self.list_keys(&STATIC, |k| Some((level_of(k[0])?, k[1].to_owned())))
     }
 
     /// Writes an OS support spec in CSV form under `<root>/os/<name>.csv`.
@@ -1270,23 +1201,29 @@ impl Database {
 
     // ----- cache manifest: provenance, currency, invalidation -----
 
-    /// Whether the artifact at `(namespace, key)` is *current*: it has
-    /// recorded provenance and every recorded input fingerprint equals
-    /// the freshly computed one. Artifacts without provenance (raw
+    /// What the manifest holds for `(namespace, key)` against freshly
+    /// computed `inputs` — the one question a sweep stage asks before
+    /// its hit/miss/stale decision. Artifacts without provenance (raw
     /// saves, pre-manifest databases) are never current.
-    pub fn is_current(
+    pub fn provenance(
         &self,
         namespace: &str,
         key: &str,
         inputs: &BTreeMap<String, Fingerprint>,
-    ) -> bool {
+    ) -> Provenance {
         self.shared.with_manifest(|s| {
-            s.manifest
+            match s
+                .manifest
                 .records
                 .get(namespace)
                 .and_then(|records| records.get(key))
-                .and_then(|rec| rec.inputs.as_ref())
-                .is_some_and(|recorded| recorded == inputs)
+            {
+                None => Provenance::Absent,
+                Some(rec) if rec.inputs.as_ref() == Some(inputs) => {
+                    Provenance::Current(rec.meta.clone())
+                }
+                Some(_) => Provenance::Outdated,
+            }
         })
     }
 
@@ -1330,32 +1267,6 @@ impl Database {
         })
     }
 
-    /// The recorded input fingerprints of `(namespace, key)`, if any.
-    pub fn recorded_inputs(
-        &self,
-        namespace: &str,
-        key: &str,
-    ) -> Option<BTreeMap<String, Fingerprint>> {
-        self.shared.with_manifest(|s| {
-            s.manifest
-                .records
-                .get(namespace)
-                .and_then(|records| records.get(key))
-                .and_then(|rec| rec.inputs.clone())
-        })
-    }
-
-    /// The recorded metadata of `(namespace, key)`, if a record exists.
-    pub fn recorded_meta(&self, namespace: &str, key: &str) -> Option<BTreeMap<String, String>> {
-        self.shared.with_manifest(|s| {
-            s.manifest
-                .records
-                .get(namespace)
-                .and_then(|records| records.get(key))
-                .map(|rec| rec.meta.clone())
-        })
-    }
-
     /// Force-invalidates provenance: every record whose key matches the
     /// given OS and/or app filters (both `None` = everything) loses its
     /// inputs, so the next sweep re-measures it. Artifact files are
@@ -1364,11 +1275,11 @@ impl Database {
     pub fn invalidate_matching(&self, os: Option<&str>, app: Option<&str>) -> Vec<(String, usize)> {
         self.shared.with_manifest(|s| {
             let mut out = Vec::new();
-            for namespace in ns::ALL {
+            for layout in LAYOUTS {
                 let mut count = 0;
-                if let Some(records) = s.manifest.records.get_mut(*namespace) {
+                if let Some(records) = s.manifest.records.get_mut(layout.ns) {
                     for (key, rec) in records.iter_mut() {
-                        if rec.inputs.is_none() || !key_matches(namespace, key, os, app) {
+                        if rec.inputs.is_none() || !layout.matches(key, os, app) {
                             continue;
                         }
                         rec.inputs = None;
@@ -1376,7 +1287,7 @@ impl Database {
                         s.dirty = true;
                     }
                 }
-                out.push(((*namespace).to_owned(), count));
+                out.push((layout.ns.to_owned(), count));
             }
             out
         })
@@ -1405,28 +1316,13 @@ impl Database {
         })
     }
 
-    /// Records a cache hit for this session's counters.
-    pub fn note_hit(&self, namespace: &str) {
-        self.shared.stats.lock().expect("stats lock").hit(namespace);
-    }
-
-    /// Records a cache miss (nothing stored) for this session.
-    pub fn note_miss(&self, namespace: &str) {
+    /// Records one cache decision in this session's counters.
+    pub fn note(&self, namespace: &str, decision: Decision) {
         self.shared
             .stats
             .lock()
             .expect("stats lock")
-            .miss(namespace);
-    }
-
-    /// Records a stale recomputation (stored but outdated) for this
-    /// session.
-    pub fn note_stale(&self, namespace: &str) {
-        self.shared
-            .stats
-            .lock()
-            .expect("stats lock")
-            .stale(namespace);
+            .note(namespace, decision);
     }
 
     /// This session's accumulated cache counters.
@@ -1465,26 +1361,6 @@ impl Database {
     pub fn flush(&self) -> Result<(), DbError> {
         self.shared.flush_manifest()
     }
-}
-
-/// Whether a record key refers to the given OS and/or app, decoded per
-/// namespace key shape. A `None` filter matches everything; a set
-/// filter matches only namespaces whose keys carry that dimension
-/// (baselines have no OS, plans no app).
-fn key_matches(namespace: &str, key: &str, os: Option<&str>, app: Option<&str>) -> bool {
-    let mut segs = key.split('/');
-    let first = segs.next();
-    let second = segs.next();
-    let third = segs.next();
-    let (key_os, key_app) = match namespace {
-        ns::BASELINES => (None, first),
-        ns::ENV | ns::MATRIX => (first, second),
-        ns::SUITES => (first, third),
-        ns::STATIC => (None, second),
-        ns::PLANS => (first, None),
-        _ => (None, None),
-    };
-    os.is_none_or(|want| key_os == Some(want)) && app.is_none_or(|want| key_app == Some(want))
 }
 
 /// Conservative merge of two measurements of the same (app, workload):
@@ -1845,7 +1721,6 @@ mod tests {
             .load(&restricted.app, Workload::HealthCheck)
             .unwrap()
             .is_none());
-        assert!(!db.contains(&restricted.app, Workload::HealthCheck));
         assert!(db.list().unwrap().is_empty());
         // But the segregated namespace holds it.
         let back = db
@@ -1896,6 +1771,49 @@ mod tests {
     }
 
     #[test]
+    fn pre_ladder_static_paths_stay_readable() {
+        use loupe_static::{BinaryAnalyzer, SourceAnalyzer, StaticAnalyzer};
+        let dir = tmpdir("static-legacy");
+        let redis = registry::find("redis").unwrap();
+        let nginx = registry::find("nginx").unwrap();
+        let legacy_l0 = BinaryAnalyzer::new().analyze(redis.as_ref());
+        let legacy_l3 = SourceAnalyzer::new().analyze(redis.as_ref());
+        let shadowed = BinaryAnalyzer::new().analyze(nginx.as_ref());
+        let write = |rel: &str, report: &StaticReport| {
+            let path = dir.join("static").join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, serde_json::to_string_pretty(report).unwrap()).unwrap();
+        };
+        write("binary/redis.json", &legacy_l0);
+        write("source/redis.json", &legacy_l3);
+        // A ladder entry wins over its pre-ladder twin.
+        let mut ladder = shadowed.clone();
+        ladder.syscalls = loupe_syscalls::SysnoSet::new();
+        write("binary/nginx.json", &shadowed);
+        write("l0/nginx.json", &ladder);
+
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(
+            db.list_static().unwrap(),
+            vec![
+                (Level::L0, "nginx".to_owned()),
+                (Level::L0, "redis".to_owned()),
+                (Level::L3, "redis".to_owned())
+            ]
+        );
+        assert_eq!(
+            db.load_static(Level::L0, "redis").unwrap(),
+            Some(legacy_l0.clone())
+        );
+        assert_eq!(db.load_static(Level::L3, "redis").unwrap(), Some(legacy_l3));
+        assert_eq!(
+            db.load_static_level(Level::L0).unwrap(),
+            vec![ladder, legacy_l0]
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn static_reports_live_in_their_own_level_keyed_namespace() {
         use loupe_static::{BinaryAnalyzer, SourceAnalyzer, StaticAnalyzer};
         let dir = tmpdir("static");
@@ -1915,8 +1833,7 @@ mod tests {
             db.load_static(Level::Source, "redis").unwrap().unwrap(),
             src
         );
-        assert!(db.contains_static(Level::Binary, "redis"));
-        assert!(!db.contains_static(Level::Binary, "ghost"));
+        assert!(db.load_static(Level::Binary, "ghost").unwrap().is_none());
         assert_eq!(
             db.list_static().unwrap(),
             vec![
@@ -1945,7 +1862,7 @@ mod tests {
         use loupe_plan::{MatrixCell, TierOutcome};
         let dir = tmpdir("matrix");
         let db = Database::open(&dir).unwrap();
-        assert!(db.list_matrix_cells().unwrap().is_empty());
+        assert!(db.load_matrix().unwrap().is_empty());
 
         let vanilla_only = MatrixCell {
             os: "kerla".into(),
@@ -1990,16 +1907,8 @@ mod tests {
         assert_eq!(composed.vanilla, vanilla_only.vanilla, "vanilla kept");
         assert_eq!(composed.planned, planned_only.planned, "planned added");
 
-        // Listing and bulk load see the cell; the measurement namespaces
-        // (baseline and env) do not.
-        assert_eq!(
-            db.list_matrix_cells().unwrap(),
-            vec![(
-                "kerla".to_owned(),
-                "redis".to_owned(),
-                Workload::HealthCheck
-            )]
-        );
+        // Bulk load sees the cell; the measurement namespaces (baseline
+        // and env) do not.
         assert_eq!(db.load_matrix().unwrap(), vec![composed]);
         assert!(db.list().unwrap().is_empty());
         assert!(db.load("redis", Workload::HealthCheck).unwrap().is_none());
@@ -2061,15 +1970,20 @@ mod tests {
 
         // Before any save: no record, nothing current.
         assert!(db.recorded_output(ns::BASELINES, &key).is_none());
-        assert!(!db.is_current(ns::BASELINES, &key, &inputs));
+        assert_eq!(
+            db.provenance(ns::BASELINES, &key, &inputs),
+            Provenance::Absent
+        );
 
         // A raw save records the output but no provenance — the artifact
         // exists, yet is not current until a stage attaches inputs.
         db.save(&report).unwrap();
         let output = db.recorded_output(ns::BASELINES, &key).unwrap();
         assert_eq!(output, fingerprint_of(&report));
-        assert!(db.recorded_inputs(ns::BASELINES, &key).is_none());
-        assert!(!db.is_current(ns::BASELINES, &key, &inputs));
+        assert_eq!(
+            db.provenance(ns::BASELINES, &key, &inputs),
+            Provenance::Outdated
+        );
 
         db.record_provenance(
             ns::BASELINES,
@@ -2077,87 +1991,65 @@ mod tests {
             inputs.clone(),
             [("note".to_owned(), "x".to_owned())].into(),
         );
-        assert!(db.is_current(ns::BASELINES, &key, &inputs));
         assert_eq!(
-            db.recorded_inputs(ns::BASELINES, &key),
-            Some(inputs.clone())
+            db.provenance(ns::BASELINES, &key, &inputs),
+            Provenance::Current([("note".to_owned(), "x".to_owned())].into())
         );
-        assert_eq!(db.recorded_meta(ns::BASELINES, &key).unwrap()["note"], "x");
         // Different inputs → not current.
         let mut other = inputs.clone();
         other.insert("extra".to_owned(), fingerprint_of(&1u64));
-        assert!(!db.is_current(ns::BASELINES, &key, &other));
+        assert_eq!(
+            db.provenance(ns::BASELINES, &key, &other),
+            Provenance::Outdated
+        );
 
         // A subsequent save changes the content (merge doubles counts),
         // so the provenance is wiped until re-attached.
         db.save(&report).unwrap();
-        assert!(!db.is_current(ns::BASELINES, &key, &inputs));
+        assert_eq!(
+            db.provenance(ns::BASELINES, &key, &inputs),
+            Provenance::Outdated
+        );
         assert_ne!(db.recorded_output(ns::BASELINES, &key), Some(output));
 
         // Provenance survives a flush + reopen (manifest.json).
         db.record_provenance(ns::BASELINES, &key, inputs.clone(), BTreeMap::new());
         drop(db);
         let db = Database::open(&dir).unwrap();
-        assert!(db.is_current(ns::BASELINES, &key, &inputs));
+        assert!(matches!(
+            db.provenance(ns::BASELINES, &key, &inputs),
+            Provenance::Current(_)
+        ));
 
         // Force-invalidation strips provenance without touching files.
         let counts = db.invalidate_matching(None, Some(&report.app));
         assert!(counts.contains(&(ns::BASELINES.to_owned(), 1)));
-        assert!(!db.is_current(ns::BASELINES, &key, &inputs));
+        assert_eq!(
+            db.provenance(ns::BASELINES, &key, &inputs),
+            Provenance::Outdated
+        );
         assert!(db.load(&report.app, report.workload).unwrap().is_some());
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn invalidation_filters_respect_key_shapes() {
-        assert!(key_matches(
-            ns::MATRIX,
-            "kerla/redis/health",
-            Some("kerla"),
-            None
-        ));
-        assert!(!key_matches(
-            ns::MATRIX,
-            "gvisor/redis/health",
-            Some("kerla"),
-            None
-        ));
-        assert!(key_matches(
-            ns::MATRIX,
-            "kerla/redis/health",
-            None,
-            Some("redis")
-        ));
-        assert!(key_matches(
-            ns::SUITES,
-            "kerla/health/redis",
-            Some("kerla"),
-            Some("redis")
-        ));
-        assert!(!key_matches(
-            ns::SUITES,
-            "kerla/health/redis",
-            None,
-            Some("health")
-        ));
-        assert!(key_matches(
-            ns::BASELINES,
-            "redis/health",
-            None,
-            Some("redis")
-        ));
+        assert!(MATRIX.matches("kerla/redis/health", Some("kerla"), None));
+        assert!(!MATRIX.matches("gvisor/redis/health", Some("kerla"), None));
+        assert!(MATRIX.matches("kerla/redis/health", None, Some("redis")));
+        assert!(SUITES.matches("kerla/health/redis", Some("kerla"), Some("redis")));
+        assert!(!SUITES.matches("kerla/health/redis", None, Some("health")));
+        assert!(BASELINES.matches("redis/health", None, Some("redis")));
         // Baselines carry no OS dimension: an --os filter never hits them.
-        assert!(!key_matches(
-            ns::BASELINES,
-            "redis/health",
-            Some("kerla"),
-            None
-        ));
-        assert!(key_matches(ns::PLANS, "kerla/health", Some("kerla"), None));
-        assert!(!key_matches(ns::PLANS, "kerla/health", None, Some("redis")));
-        assert!(key_matches(ns::STATIC, "binary/redis", None, Some("redis")));
+        assert!(!BASELINES.matches("redis/health", Some("kerla"), None));
+        assert!(PLANS.matches("kerla/health", Some("kerla"), None));
+        assert!(!PLANS.matches("kerla/health", None, Some("redis")));
+        assert!(STATIC.matches("binary/redis", None, Some("redis")));
+        // A restricted environment counts as an OS.
+        assert!(ENV.matches("kerla/redis/health", Some("kerla"), Some("redis")));
+        assert!(LAYOUTS.iter().map(|l| l.ns).eq(ns::ALL.iter().copied()));
         // No filters → everything matches.
-        assert!(key_matches(ns::MATRIX, "kerla/redis/health", None, None));
+        assert!(MATRIX.matches("kerla/redis/health", None, None));
     }
 
     #[test]
@@ -2326,12 +2218,13 @@ mod tests {
         let db = Database::open(&dir).unwrap();
         let reloaded = db.load_matrix().unwrap();
         assert_eq!(reloaded[1], edited, "rebuild sees the out-of-band edit");
-        assert!(
-            db.recorded_inputs(
+        assert_eq!(
+            db.provenance(
                 ns::MATRIX,
-                &matrix_key("kerla", "beta", Workload::Benchmark)
-            )
-            .is_none(),
+                &matrix_key("kerla", "beta", Workload::Benchmark),
+                &BTreeMap::new()
+            ),
+            Provenance::Outdated,
             "rebuild clears provenance of out-of-band-edited artifacts"
         );
         fs::remove_dir_all(&dir).ok();

@@ -66,6 +66,20 @@ pub struct ArtifactRecord {
     pub meta: BTreeMap<String, String>,
 }
 
+/// What the manifest knows about one artifact, relative to the inputs a
+/// stage just computed for it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Provenance {
+    /// No record: nothing is stored under the key.
+    Absent,
+    /// A record whose inputs differ from (or are unknown against) the
+    /// fresh ones.
+    Outdated,
+    /// The recorded inputs equal the fresh ones; carries the record's
+    /// metadata.
+    Current(BTreeMap<String, String>),
+}
+
 /// Hit/miss/stale counters for one namespace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheCounters {
@@ -96,24 +110,28 @@ pub struct CacheStats {
     pub namespaces: BTreeMap<String, CacheCounters>,
 }
 
+/// One cache decision a sweep stage takes for one artifact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decision {
+    /// Served from the store: the recorded inputs are current.
+    Hit,
+    /// Derived: nothing was stored, or the stored entry could not
+    /// answer the job.
+    Miss,
+    /// Re-derived because the recorded inputs no longer match (or
+    /// were unknown).
+    Stale,
+}
+
 impl CacheStats {
-    /// Records a cache hit in `namespace`.
-    pub fn hit(&mut self, namespace: &str) {
-        self.entry(namespace).hits += 1;
-    }
-
-    /// Records a cache miss in `namespace`.
-    pub fn miss(&mut self, namespace: &str) {
-        self.entry(namespace).misses += 1;
-    }
-
-    /// Records a stale recomputation in `namespace`.
-    pub fn stale(&mut self, namespace: &str) {
-        self.entry(namespace).stale += 1;
-    }
-
-    fn entry(&mut self, namespace: &str) -> &mut CacheCounters {
-        self.namespaces.entry(namespace.to_owned()).or_default()
+    /// Records one decision in `namespace`.
+    pub fn note(&mut self, namespace: &str, decision: Decision) {
+        let c = self.namespaces.entry(namespace.to_owned()).or_default();
+        match decision {
+            Decision::Hit => c.hits += 1,
+            Decision::Miss => c.misses += 1,
+            Decision::Stale => c.stale += 1,
+        }
     }
 
     /// Whether no decision has been recorded.
@@ -186,8 +204,8 @@ mod tests {
             },
         );
         let mut stats = CacheStats::default();
-        stats.hit(ns::MATRIX);
-        stats.stale(ns::BASELINES);
+        stats.note(ns::MATRIX, Decision::Hit);
+        stats.note(ns::BASELINES, Decision::Stale);
         m.last_sweep = Some(stats);
 
         let json = serde_json::to_string_pretty(&m).unwrap();
@@ -210,10 +228,10 @@ mod tests {
     fn cache_stats_accumulate() {
         let mut stats = CacheStats::default();
         assert!(stats.is_empty());
-        stats.hit(ns::MATRIX);
-        stats.hit(ns::MATRIX);
-        stats.miss(ns::SUITES);
-        stats.stale(ns::MATRIX);
+        stats.note(ns::MATRIX, Decision::Hit);
+        stats.note(ns::MATRIX, Decision::Hit);
+        stats.note(ns::SUITES, Decision::Miss);
+        stats.note(ns::MATRIX, Decision::Stale);
         assert!(!stats.is_empty());
         let m = stats.namespaces[ns::MATRIX];
         assert_eq!((m.hits, m.misses, m.stale), (2, 0, 1));

@@ -22,12 +22,13 @@ use std::collections::BTreeMap;
 
 use loupe_apps::{AppModel, Workload};
 use loupe_core::{fingerprint_of, AppReport, Fingerprint};
-use loupe_db::{ns, Database, DbError};
+use loupe_db::{ns, Database, DbError, Provenance};
 use loupe_gentests::ConformanceSuite;
 use loupe_plan::{OsSpec, Tier};
 
 use crate::matrix::{sweep_matrix, MatrixConfig};
-use crate::{pool, Sweep, SweepFailure, SweepSummary};
+use crate::stage::{self, Derived, Done, Fresh, Inputs, Meta, Served, Stage};
+use crate::{sort_failures, JobError, SweepSummary};
 
 /// Configuration of a conformance-suite generation sweep.
 #[derive(Debug, Clone, Default)]
@@ -110,7 +111,7 @@ impl GentestsSummary {
 /// # Errors
 ///
 /// Database I/O and corruption errors only; per-cell panics become
-/// [`SweepFailure`]s on the base summary.
+/// [`SweepFailure`](crate::SweepFailure)s on the base summary.
 pub fn sweep_gentests(
     db: &Database,
     apps: Vec<Box<dyn AppModel>>,
@@ -119,19 +120,11 @@ pub fn sweep_gentests(
     // Stage 1: baselines + matrix cells (cache hits when populated).
     let mut summary = sweep_matrix(db, apps, &cfg.matrix)?;
 
-    // One job per (os, stored baseline report). The reports are moved
-    // out of the summary for the jobs' lifetime and restored after.
-    let reports = std::mem::take(&mut summary.reports);
-    struct Job<'a> {
-        os: &'a OsSpec,
-        report: &'a AppReport,
-        inputs: BTreeMap<String, Fingerprint>,
-    }
-    // A suite is a pure function of (OS spec, measurement report,
-    // matrix cell); the cell fingerprint comes from the matrix stage's
-    // manifest record when available, falling back to hashing the
-    // stored cell for databases predating provenance tracking.
+    // One job per (os, stored baseline report). A suite is a pure
+    // function of (OS spec, measurement report, matrix cell); the cell
+    // fingerprint is the one the matrix stage just recorded.
     let os_fps: Vec<Fingerprint> = cfg.matrix.oses.iter().map(fingerprint_of).collect();
+    let reports = &summary.reports;
     let report_fps: Vec<Fingerprint> = reports.iter().map(fingerprint_of).collect();
     let mut jobs = Vec::new();
     for (os_idx, os_spec) in cfg.matrix.oses.iter().enumerate() {
@@ -140,190 +133,73 @@ pub fn sweep_gentests(
             inputs.insert("os".to_owned(), os_fps[os_idx]);
             inputs.insert("report".to_owned(), report_fps[r_idx]);
             let mkey = loupe_db::matrix_key(&os_spec.name, &report.app, report.workload);
-            match db.recorded_output(ns::MATRIX, &mkey) {
-                Some(fp) => {
-                    inputs.insert("cell".to_owned(), fp);
-                }
-                None => {
-                    if let Some(cell) =
-                        db.load_matrix_cell(&os_spec.name, &report.app, report.workload)?
-                    {
-                        inputs.insert("cell".to_owned(), fingerprint_of(&cell));
-                    }
-                }
+            if let Some(fp) = db.recorded_output(ns::MATRIX, &mkey) {
+                inputs.insert("cell".to_owned(), fp);
             }
-            jobs.push(Job {
-                os: os_spec,
-                report,
-                inputs,
-            });
+            jobs.push((os_idx, r_idx, inputs));
         }
     }
 
-    struct CellOut {
-        cached: bool,
-        stale: bool,
-        cases: usize,
-        vanilla_pass: bool,
-        planned_pass: bool,
-        disagreements: Vec<(Tier, bool, bool)>,
-    }
-    enum JobOut {
-        Done(CellOut),
-        Db(DbError),
-    }
-
-    let force = cfg.matrix.sweep.force;
-    let workers = Sweep::new(cfg.matrix.sweep.clone()).worker_count(jobs.len());
-    let outcomes = pool::run_jobs(workers, &jobs, |job| {
-        let (os, app, workload) = (&job.os.name, &job.report.app, job.report.workload);
-        let key = loupe_db::suite_key(os, app, workload);
-        let current = db.is_current(ns::SUITES, &key, &job.inputs);
-        if current && !force {
-            // Provenance is current: serve the recorded aggregate
-            // without regenerating (generation is a pure function of
-            // the recorded inputs, so this is valid in check mode
-            // too). Only clean cells take this path — anything with a
-            // recorded disagreement is always re-derived.
-            if let Some(meta) = db.recorded_meta(ns::SUITES, &key) {
-                if let (Some(cases), Some(vanilla_pass), Some(planned_pass), Some("0")) = (
-                    meta.get("cases").and_then(|s| s.parse::<usize>().ok()),
-                    meta.get("vanilla_pass").map(|s| s == "true"),
-                    meta.get("planned_pass").map(|s| s == "true"),
-                    meta.get("disagreements").map(String::as_str),
-                ) {
-                    db.note_hit(ns::SUITES);
-                    return JobOut::Done(CellOut {
-                        cached: true,
-                        stale: false,
-                        cases,
-                        vanilla_pass,
-                        planned_pass,
-                        disagreements: Vec::new(),
-                    });
-                }
-            }
-        }
-        let cell = match db.load_matrix_cell(os, app, workload) {
-            Ok(cell) => cell,
-            Err(e) => return JobOut::Db(e),
-        };
-        let fresh = ConformanceSuite::generate(job.os, job.report, cell.as_ref());
-        let stored = match db.load_suite(os, app, workload) {
-            Ok(stored) => stored,
-            Err(e) => return JobOut::Db(e),
-        };
-        let had_entry = stored.is_some() || db.recorded_output(ns::SUITES, &key).is_some();
-        let identical = stored.as_ref() == Some(&fresh);
-        let disagreements = fresh.disagreements(job.os);
-        let vanilla_pass = fresh.verdict(job.os, Tier::Vanilla);
-        let planned_pass = fresh.verdict(job.os, Tier::Planned);
-        let mut meta = BTreeMap::new();
-        meta.insert("cases".to_owned(), fresh.cases.len().to_string());
-        meta.insert("vanilla_pass".to_owned(), vanilla_pass.to_string());
-        meta.insert("planned_pass".to_owned(), planned_pass.to_string());
-        meta.insert("disagreements".to_owned(), disagreements.len().to_string());
-        let (cached, stale) = if identical && !force {
-            // Content already matches; the regeneration only happened
-            // because provenance was missing or stale — heal the
-            // record so the next sweep takes the fast path.
-            if current {
-                db.note_hit(ns::SUITES);
-            } else {
-                db.note_stale(ns::SUITES);
-            }
-            if !cfg.check {
-                db.record_provenance(ns::SUITES, &key, job.inputs.clone(), meta);
-            }
-            (true, false)
-        } else if cfg.check {
-            if had_entry {
-                db.note_stale(ns::SUITES);
-            } else {
-                db.note_miss(ns::SUITES);
-            }
-            (false, true)
-        } else {
-            if had_entry && !force {
-                db.note_stale(ns::SUITES);
-            } else {
-                db.note_miss(ns::SUITES);
-            }
-            if let Err(e) = db.save_suite(&fresh) {
-                return JobOut::Db(e);
-            }
-            db.record_provenance(ns::SUITES, &key, job.inputs.clone(), meta);
-            (false, false)
-        };
-        JobOut::Done(CellOut {
-            cached,
-            stale,
-            cases: fresh.cases.len(),
-            vanilla_pass,
-            planned_pass,
-            disagreements,
-        })
-    });
+    let stage = Suites {
+        check: cfg.check,
+        oses: &cfg.matrix.oses,
+        reports,
+    };
+    let (workers, force) = (cfg.matrix.sweep.workers, cfg.matrix.sweep.force);
+    let outcomes = stage::run(&stage, db, &jobs, workers, force);
 
     let mut generated = 0;
     let mut cached = 0;
     let mut stale = Vec::new();
     let mut disagreements = Vec::new();
     let mut slices: BTreeMap<(String, &'static str), SuiteSliceStats> = BTreeMap::new();
-    let mut failures: Vec<SweepFailure> = Vec::new();
-    for (outcome, job) in outcomes.into_iter().zip(&jobs) {
-        let key = (job.os.name.clone(), job.report.workload.label());
-        match outcome {
-            Ok(JobOut::Done(out)) => {
-                if out.cached {
-                    cached += 1;
-                } else if out.stale {
-                    stale.push((
-                        job.os.name.clone(),
-                        job.report.app.clone(),
-                        job.report.workload,
-                    ));
-                } else {
-                    generated += 1;
-                }
-                for (tier, suite_pass, matrix_pass) in out.disagreements {
-                    disagreements.push(Disagreement {
-                        os: job.os.name.clone(),
-                        app: job.report.app.clone(),
-                        workload: job.report.workload,
-                        tier,
-                        suite_pass,
-                        matrix_pass,
-                    });
-                }
-                let slice = slices.entry(key).or_insert_with(|| SuiteSliceStats {
-                    os: job.os.name.clone(),
-                    workload: job.report.workload,
-                    suites: 0,
-                    cases: 0,
-                    vanilla_pass: 0,
-                    planned_pass: 0,
-                });
-                slice.suites += 1;
-                slice.cases += out.cases;
-                slice.vanilla_pass += usize::from(out.vanilla_pass);
-                slice.planned_pass += usize::from(out.planned_pass);
+    for (outcome, &(os, r, _)) in outcomes.into_iter().zip(&jobs) {
+        let (os, report) = (&cfg.matrix.oses[os], &reports[r]);
+        let out = match outcome {
+            Ok(Done::Cached(out)) => {
+                cached += 1;
+                out
             }
-            Ok(JobOut::Db(e)) => return Err(e),
-            Err(panic) => failures.push(SweepFailure {
-                app: job.report.app.clone(),
-                workload: job.report.workload,
-                error: format!("suite generation panicked: {panic}"),
-            }),
+            Ok(Done::Fresh(out)) if cfg.check => {
+                stale.push((os.name.clone(), report.app.clone(), report.workload));
+                out
+            }
+            Ok(Done::Fresh(out)) => {
+                generated += 1;
+                out
+            }
+            Err(JobError::Failed(f)) => {
+                summary.failures.push(f);
+                continue;
+            }
+            Err(JobError::Db(e)) => return Err(e),
+        };
+        for (tier, suite_pass, matrix_pass) in out.disagreements {
+            disagreements.push(Disagreement {
+                os: os.name.clone(),
+                app: report.app.clone(),
+                workload: report.workload,
+                tier,
+                suite_pass,
+                matrix_pass,
+            });
         }
+        let slice = slices
+            .entry((os.name.clone(), report.workload.label()))
+            .or_insert_with(|| SuiteSliceStats {
+                os: os.name.clone(),
+                workload: report.workload,
+                suites: 0,
+                cases: 0,
+                vanilla_pass: 0,
+                planned_pass: 0,
+            });
+        slice.suites += 1;
+        slice.cases += out.cases;
+        slice.vanilla_pass += usize::from(out.vanilla_pass);
+        slice.planned_pass += usize::from(out.planned_pass);
     }
-    drop(jobs);
-    summary.reports = reports;
-    summary.cache = db.session_cache_stats();
-    summary.failures.extend(failures);
-    summary.failures.sort_by(|a, b| {
-        (a.app.as_str(), a.workload.label()).cmp(&(b.app.as_str(), b.workload.label()))
-    });
+    sort_failures(&mut summary.failures);
     stale.sort_by(|a, b| {
         (a.0.as_str(), a.1.as_str(), a.2.label()).cmp(&(b.0.as_str(), b.1.as_str(), b.2.label()))
     });
@@ -350,6 +226,104 @@ pub fn sweep_gentests(
         stats: slices.into_values().collect(),
         disagreements,
     })
+}
+
+/// What one suite contributes to the summary.
+struct SuiteCell {
+    cases: usize,
+    vanilla_pass: bool,
+    planned_pass: bool,
+    disagreements: Vec<(Tier, bool, bool)>,
+}
+
+/// The suite stage: one conformance suite per `(os, app, workload)`.
+/// A suite's recorded meta carries its case count, tier verdicts and
+/// disagreement count, so a current suite is answered without
+/// regenerating or reading it.
+struct Suites<'a> {
+    /// Regenerate in memory and write nothing (`--check`).
+    check: bool,
+    oses: &'a [OsSpec],
+    reports: &'a [AppReport],
+}
+
+impl Stage for Suites<'_> {
+    const NS: &'static str = ns::SUITES;
+    /// A forced run re-merges every baseline, outdating its suites:
+    /// those count as misses, not as stale.
+    const FORCED_IS_MISS: bool = true;
+    /// Indices of the OS and the report, and the suite's inputs.
+    type Job = (usize, usize, Inputs);
+    type Out = SuiteCell;
+    type Error = JobError;
+
+    fn key(&self, (os, r, inputs): &Self::Job) -> (String, Inputs) {
+        let report = &self.reports[*r];
+        let key = loupe_db::suite_key(&self.oses[*os].name, &report.app, report.workload);
+        (key, inputs.clone())
+    }
+
+    /// Generation is a pure function of the recorded inputs, so this is
+    /// valid in check mode too. Only clean suites take this path: one
+    /// with a recorded disagreement is always re-derived.
+    fn serve(&self, _: &Database, _: &Self::Job, meta: &Meta) -> Served<Self> {
+        let (Some(cases), Some(vanilla_pass), Some(planned_pass), Some("0")) = (
+            meta.get("cases").and_then(|s| s.parse::<usize>().ok()),
+            meta.get("vanilla_pass").map(|s| s == "true"),
+            meta.get("planned_pass").map(|s| s == "true"),
+            meta.get("disagreements").map(String::as_str),
+        ) else {
+            return Ok(None);
+        };
+        Ok(Some(SuiteCell {
+            cases,
+            vanilla_pass,
+            planned_pass,
+            disagreements: Vec::new(),
+        }))
+    }
+
+    /// Regenerates the suite and self-validates it against its OS. A
+    /// stored suite with identical content is kept (the driver heals
+    /// its provenance); check mode writes and records nothing.
+    fn derive(&self, db: &Database, &(os, r, _): &Self::Job, _: &Provenance) -> Fresh<Self> {
+        let (os, report) = (&self.oses[os], &self.reports[r]);
+        let (app, workload) = (&report.app, report.workload);
+        let cell = db.load_matrix_cell(&os.name, app, workload)?;
+        let fresh = ConformanceSuite::generate(os, report, cell.as_ref());
+        let unchanged = db.load_suite(&os.name, app, workload)?.as_ref() == Some(&fresh);
+        let out = SuiteCell {
+            cases: fresh.cases.len(),
+            vanilla_pass: fresh.verdict(os, Tier::Vanilla),
+            planned_pass: fresh.verdict(os, Tier::Planned),
+            disagreements: fresh.disagreements(os),
+        };
+        if !self.check && !unchanged {
+            db.save_suite(&fresh)?;
+        }
+        let meta = (!self.check).then(|| {
+            Meta::from([
+                ("cases".to_owned(), out.cases.to_string()),
+                ("vanilla_pass".to_owned(), out.vanilla_pass.to_string()),
+                ("planned_pass".to_owned(), out.planned_pass.to_string()),
+                (
+                    "disagreements".to_owned(),
+                    out.disagreements.len().to_string(),
+                ),
+            ])
+        });
+        Ok(Derived {
+            out,
+            meta,
+            unchanged,
+        })
+    }
+
+    fn panicked(&self, &(_, r, _): &Self::Job, message: String) -> JobError {
+        let report = &self.reports[r];
+        let error = format!("suite generation panicked: {message}");
+        JobError::failed(&report.app, report.workload, error)
+    }
 }
 
 #[cfg(test)]

@@ -52,13 +52,14 @@ pub mod matrix;
 pub mod plans;
 pub(crate) mod pool;
 pub mod report;
+pub(crate) mod stage;
 pub mod statics;
 
 pub use gentests::{
     sweep_gentests, Disagreement, GentestsConfig, GentestsSummary, SuiteSliceStats,
 };
 pub use matrix::{sweep_matrix, MatrixConfig, MatrixSummary, OsWorkloadStats};
-pub use plans::{validate_curated_plans, validate_plans, PlanSweepError};
+pub use plans::{plan_inputs, validate_curated_plans, validate_plans, PlanSweepError};
 pub use statics::{
     compare, sweep_static, sweep_static_levels, AppComparison, CompareError, Comparison,
     LevelStats, PlanDelta, StaticSweepSummary, WitnessExample,
@@ -71,9 +72,11 @@ use loupe_core::{
     fingerprint_of, transfer_hints, AnalysisConfig, AppReport, Engine, FeatureClass, Fingerprint,
     RunStats,
 };
-use loupe_db::{ns, CacheStats, Database, DbError};
+use loupe_db::{ns, Database, DbError, Provenance};
 use loupe_plan::{api_importance, AppRequirement, ImportancePoint};
 use loupe_syscalls::{Category, Sysno};
+
+use stage::{Derived, Done, Fresh, Inputs, Meta, Served, Stage};
 
 /// Fingerprint of the analysis configuration *as a measurement input*:
 /// scheduling-only knobs (probe-scheduler jobs, replica parallelism) are
@@ -166,7 +169,7 @@ pub struct SweepFailure {
 }
 
 /// The outcome of a sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepSummary {
     /// Entries measured fresh in this sweep.
     pub analyzed: usize,
@@ -183,16 +186,37 @@ pub struct SweepSummary {
     /// The fleet × OS matrix section: populated by
     /// [`matrix::sweep_matrix`], `None` for a plain baseline sweep.
     pub matrix: Option<MatrixSummary>,
-    /// Cache hit/miss/stale counters accumulated on the database this
-    /// session (all stages sharing the `Database` handle contribute).
-    pub cache: CacheStats,
 }
 
-enum JobOutcome {
-    Fresh(AppReport),
-    Cached(AppReport),
+/// Why one job of a fleet stage yielded nothing.
+pub(crate) enum JobError {
+    /// The job failed on its own; the rest of the stage goes on.
     Failed(SweepFailure),
+    /// The database failed; the stage stops.
     Db(DbError),
+}
+
+impl JobError {
+    fn failed(app: &str, workload: Workload, error: String) -> JobError {
+        JobError::Failed(SweepFailure {
+            app: app.to_owned(),
+            workload,
+            error,
+        })
+    }
+}
+
+impl From<DbError> for JobError {
+    fn from(e: DbError) -> Self {
+        JobError::Db(e)
+    }
+}
+
+/// Orders failures by `(app, workload label)`.
+pub(crate) fn sort_failures(failures: &mut [SweepFailure]) {
+    failures.sort_by(|a, b| {
+        (a.app.as_str(), a.workload.label()).cmp(&(b.app.as_str(), b.workload.label()))
+    });
 }
 
 /// The concurrent fleet-sweep driver.
@@ -205,25 +229,6 @@ impl Sweep {
     /// Creates a driver with the given configuration.
     pub fn new(cfg: SweepConfig) -> Sweep {
         Sweep { cfg }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SweepConfig {
-        &self.cfg
-    }
-
-    /// Effective worker count for `jobs` queued jobs.
-    pub(crate) fn worker_count(&self, jobs: usize) -> usize {
-        let auto = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(16);
-        let chosen = if self.cfg.workers == 0 {
-            auto
-        } else {
-            self.cfg.workers
-        };
-        chosen.clamp(1, jobs.max(1))
     }
 
     /// Runs the sweep over `apps` × `config.workloads`, persisting every
@@ -255,10 +260,20 @@ impl Sweep {
             let _ = db.preload();
         }
 
-        let jobs_for = |range: std::ops::Range<usize>| -> Vec<(usize, Workload)> {
-            range
+        // One scheduling pass over `range` of the fleet. A job whose app
+        // model *panics* becomes a per-app `SweepFailure` naming the app
+        // instead of killing the sweep.
+        let no_hints = BTreeMap::new();
+        let run_pass = |range: std::ops::Range<usize>, hints| {
+            let jobs: Vec<(usize, Workload)> = range
                 .flat_map(|a| self.cfg.workloads.iter().map(move |&w| (a, w)))
-                .collect()
+                .collect();
+            let stage = Baselines {
+                analysis: &self.cfg.analysis,
+                apps: &apps,
+                hints,
+            };
+            stage::run(&stage, db, &jobs, self.cfg.workers, self.cfg.force)
         };
 
         let outcomes = match self.cfg.transfer {
@@ -266,11 +281,11 @@ impl Sweep {
             // empty summary on both paths; the seed clamp below needs a
             // non-empty app list.
             None | Some(_) if apps.is_empty() => Vec::new(),
-            None => self.run_pass(db, &apps, &jobs_for(0..apps.len()), &BTreeMap::new()),
+            None => run_pass(0..apps.len(), &no_hints),
             Some(transfer) => {
                 // Pass 1: measure the seed subset in full.
                 let seed = transfer.seed.clamp(1, apps.len());
-                let mut outcomes = self.run_pass(db, &apps, &jobs_for(0..seed), &BTreeMap::new());
+                let mut outcomes = run_pass(0..seed, &no_hints);
                 // Conservative per-workload hints from the seed reports
                 // (cached seed entries teach too — they are stored
                 // full measurements of the same fleet).
@@ -279,9 +294,7 @@ impl Sweep {
                     let teachers: Vec<AppReport> = outcomes
                         .iter()
                         .filter_map(|o| match o {
-                            JobOutcome::Fresh(r) | JobOutcome::Cached(r)
-                                if r.workload == workload =>
-                            {
+                            Ok(Done::Fresh(r) | Done::Cached(r)) if r.workload == workload => {
                                 Some(r.clone())
                             }
                             _ => None,
@@ -299,140 +312,92 @@ impl Sweep {
                     hints.insert(workload, workload_hints);
                 }
                 // Pass 2: the rest of the fleet rides on the hints.
-                outcomes.extend(self.run_pass(db, &apps, &jobs_for(seed..apps.len()), &hints));
+                outcomes.extend(run_pass(seed..apps.len(), &hints));
                 outcomes
             }
         };
 
-        let mut summary = SweepSummary {
-            analyzed: 0,
-            cached: 0,
-            failures: Vec::new(),
-            reports: Vec::new(),
-            runs: RunStats::default(),
-            matrix: None,
-            cache: CacheStats::default(),
-        };
+        let mut summary = SweepSummary::default();
         for outcome in outcomes {
             match outcome {
-                JobOutcome::Fresh(r) => {
+                Ok(Done::Fresh(r)) => {
                     summary.analyzed += 1;
                     summary.runs.absorb(&r.stats);
                     summary.reports.push(r);
                 }
-                JobOutcome::Cached(r) => {
+                Ok(Done::Cached(r)) => {
                     summary.cached += 1;
                     summary.reports.push(r);
                 }
-                JobOutcome::Failed(f) => summary.failures.push(f),
-                JobOutcome::Db(e) => return Err(e),
+                Err(JobError::Failed(f)) => summary.failures.push(f),
+                Err(JobError::Db(e)) => return Err(e),
             }
         }
         summary.reports.sort_by(|a, b| {
             (a.app.as_str(), a.workload.label()).cmp(&(b.app.as_str(), b.workload.label()))
         });
-        summary.failures.sort_by(|a, b| {
-            (a.app.as_str(), a.workload.label()).cmp(&(b.app.as_str(), b.workload.label()))
-        });
-        summary.cache = db.session_cache_stats();
+        sort_failures(&mut summary.failures);
         Ok(summary)
     }
+}
 
-    /// Runs one scheduling pass over `jobs` on the bounded worker pool.
-    /// Each job's outcome lands in the slot of its job index, so the
-    /// returned order never depends on worker scheduling. A job whose
-    /// app model *panics* becomes a per-app [`SweepFailure`] naming the
-    /// app, instead of poisoning the pool and killing the whole sweep.
-    fn run_pass(
-        &self,
-        db: &Database,
-        apps: &[Box<dyn AppModel>],
-        jobs: &[(usize, Workload)],
-        hints: &BTreeMap<Workload, BTreeMap<Sysno, FeatureClass>>,
-    ) -> Vec<JobOutcome> {
-        let workers = self.worker_count(jobs.len());
-        pool::run_jobs(workers, jobs, |&(app_idx, workload)| {
-            let engine = Engine::new(self.cfg.analysis.clone());
-            self.run_job(db, &engine, apps[app_idx].as_ref(), workload, hints)
-        })
-        .into_iter()
-        .zip(jobs)
-        .map(|(outcome, &(app_idx, workload))| match outcome {
-            Ok(o) => o,
-            Err(panic) => JobOutcome::Failed(SweepFailure {
-                app: apps[app_idx].name().to_owned(),
-                workload,
-                error: format!("app model panicked: {panic}"),
-            }),
-        })
-        .collect()
+/// The baseline stage: one full-Linux measurement per `(app, workload)`.
+struct Baselines<'a> {
+    analysis: &'a AnalysisConfig,
+    apps: &'a [Box<dyn AppModel>],
+    hints: &'a BTreeMap<Workload, BTreeMap<Sysno, FeatureClass>>,
+}
+
+impl Stage for Baselines<'_> {
+    const NS: &'static str = ns::BASELINES;
+    type Job = (usize, Workload);
+    type Out = AppReport;
+    type Error = JobError;
+
+    fn key(&self, &(app, workload): &Self::Job) -> (String, Inputs) {
+        let app = self.apps[app].as_ref();
+        (
+            loupe_db::baseline_key(app.name(), workload),
+            baseline_inputs(app, workload, self.analysis),
+        )
     }
 
-    fn run_job(
+    fn serve(&self, db: &Database, &(app, workload): &Self::Job, _: &Meta) -> Served<Self> {
+        Ok(db.load(self.apps[app].name(), workload)?)
+    }
+
+    fn derive(
         &self,
         db: &Database,
-        engine: &Engine,
-        app: &dyn AppModel,
-        workload: Workload,
-        hints: &BTreeMap<Workload, BTreeMap<Sysno, FeatureClass>>,
-    ) -> JobOutcome {
-        let key = loupe_db::baseline_key(app.name(), workload);
-        let inputs = baseline_inputs(app, workload, &self.cfg.analysis);
-        // Current = the stored entry's recorded input fingerprints match
-        // this job's. A stored entry with different (or unknown)
-        // provenance is *stale*: it is re-measured and replaced, because
-        // merging with content produced by other inputs would poison the
-        // fresh measurement.
-        let current = db.is_current(ns::BASELINES, &key, &inputs);
-        let had_entry = match db.load(app.name(), workload) {
-            Ok(Some(cached)) if current && !self.cfg.force => {
-                db.note_hit(ns::BASELINES);
-                return JobOutcome::Cached(cached);
-            }
-            Ok(existing) => existing.is_some(),
-            Err(e) => return JobOutcome::Db(e),
-        };
-        let stale = had_entry && !current;
-        if stale {
-            db.note_stale(ns::BASELINES);
-        } else {
-            db.note_miss(ns::BASELINES);
-        }
+        &(app, workload): &Self::Job,
+        prior: &Provenance,
+    ) -> Fresh<Self> {
+        let app = self.apps[app].as_ref();
         let empty = BTreeMap::new();
-        let workload_hints = hints.get(&workload).unwrap_or(&empty);
-        let report = match engine.analyze_with_hints(app, workload, workload_hints) {
-            Ok(r) => r,
-            Err(e) => {
-                return JobOutcome::Failed(SweepFailure {
-                    app: app.name().to_owned(),
-                    workload,
-                    error: e.to_string(),
-                })
-            }
-        };
-        let saved = if stale {
-            db.save_replacing(&report)
+        let hints = self.hints.get(&workload).unwrap_or(&empty);
+        let report = Engine::new(self.analysis.clone())
+            .analyze_with_hints(app, workload, hints)
+            .map_err(|e| JobError::failed(app.name(), workload, e.to_string()))?;
+        let report = if let Provenance::Current(_) = prior {
+            // A forced re-measure merges conservatively with the stored
+            // entry; report what the database now holds so summaries
+            // match later reads.
+            db.save(&report)?;
+            db.load(&report.app, workload)?.unwrap_or(report)
         } else {
-            db.save(&report)
+            // Anything else is replaced: merging with content produced
+            // by other (or unknown) inputs would poison the fresh
+            // measurement.
+            db.save_replacing(&report)?;
+            report
         };
-        if let Err(e) = saved {
-            return JobOutcome::Db(e);
-        }
-        if report.is_linux_baseline() {
-            db.record_provenance(ns::BASELINES, &key, inputs, BTreeMap::new());
-        }
-        if !had_entry || stale {
-            // The database now holds exactly this report (fresh save or
-            // replacement), so skip the re-read.
-            return JobOutcome::Fresh(report);
-        }
-        // A forced re-measure merged conservatively with the stored entry;
-        // report what the database now holds so summaries match later reads.
-        match db.load(&report.app, workload) {
-            Ok(Some(stored)) => JobOutcome::Fresh(stored),
-            Ok(None) => JobOutcome::Fresh(report),
-            Err(e) => JobOutcome::Db(e),
-        }
+        let meta = report.is_linux_baseline().then(Meta::new);
+        Ok(Derived::saved(report, meta))
+    }
+
+    fn panicked(&self, &(app, workload): &Self::Job, message: String) -> JobError {
+        let error = format!("app model panicked: {message}");
+        JobError::failed(self.apps[app].name(), workload, error)
     }
 }
 
@@ -597,10 +562,12 @@ mod tests {
         assert_eq!(first.cached, 0);
         assert!(first.failures.is_empty());
         for n in &names {
-            assert!(db.contains(n, Workload::HealthCheck), "{n} persisted");
-            assert!(db.load(n, Workload::HealthCheck).unwrap().is_some());
+            assert!(
+                db.load(n, Workload::HealthCheck).unwrap().is_some(),
+                "{n} persisted"
+            );
         }
-        assert!(!db.contains("ghost", Workload::HealthCheck));
+        assert!(db.load("ghost", Workload::HealthCheck).unwrap().is_none());
 
         let apps: Vec<_> = registry::detailed().into_iter().take(4).collect();
         let second = health_sweep(2).run(&db, apps).unwrap();
@@ -650,7 +617,7 @@ mod tests {
     }
 
     /// An app model whose `run` panics — the regression fixture for the
-    /// pool's panic isolation.
+    /// stage driver's panic isolation.
     struct PanickingApp;
 
     impl loupe_apps::AppModel for PanickingApp {
@@ -700,7 +667,9 @@ mod tests {
             failure.error
         );
         assert!(
-            !db.contains("panicking-app", Workload::HealthCheck),
+            db.load("panicking-app", Workload::HealthCheck)
+                .unwrap()
+                .is_none(),
             "nothing persisted for the panicked app"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -25,12 +25,13 @@
 use std::collections::BTreeMap;
 
 use loupe_apps::{AppModel, Workload};
-use loupe_core::{fingerprint_of, Fingerprint, TestScript};
-use loupe_db::{ns, Database, DbError};
+use loupe_core::{fingerprint_of, AppReport, Fingerprint, TestScript};
+use loupe_db::{ns, Database, DbError, Provenance};
 use loupe_plan::{measure_cell, os, AppRequirement, MatrixCell, OsSpec, Tier};
 use loupe_syscalls::Sysno;
 
-use crate::{pool, Sweep, SweepConfig, SweepFailure, SweepSummary};
+use crate::stage::{self, Derived, Done, Fresh, Inputs, Meta, Served, Stage};
+use crate::{sort_failures, JobError, Sweep, SweepConfig, SweepSummary};
 
 /// Configuration of a matrix sweep.
 #[derive(Debug, Clone)]
@@ -164,7 +165,7 @@ pub struct MatrixSummary {
 /// summary with [`SweepSummary::matrix`] populated.
 ///
 /// Apps whose baseline failed (including panicking models, which the
-/// pool isolates into per-app [`SweepFailure`]s) are excluded from the
+/// stage driver isolates into per-app failures) are excluded from the
 /// matrix rather than aborting it; their failures stay in
 /// [`SweepSummary::failures`].
 ///
@@ -180,153 +181,43 @@ pub fn sweep_matrix(
     let sweep = Sweep::new(cfg.sweep.clone());
     let mut summary = sweep.run(db, apps)?;
 
-    // Requirements for every app with a stored baseline, per workload.
-    // Models are re-resolved from the registry by name inside each job:
-    // the boxed inputs were consumed by the baseline sweep.
-    let mut reqs: BTreeMap<(Workload, String), (AppRequirement, BTreeMap<String, bool>)> =
-        BTreeMap::new();
-    for report in &summary.reports {
-        reqs.insert(
-            (report.workload, report.app.clone()),
-            (
-                AppRequirement::from_report(report),
-                report.baseline.features.clone(),
-            ),
-        );
-    }
+    // One requirement per stored baseline. Models are re-resolved from
+    // the registry by name inside each job: the boxed inputs were
+    // consumed by the baseline sweep.
+    let reqs: Vec<AppRequirement> = summary
+        .reports
+        .iter()
+        .map(AppRequirement::from_report)
+        .collect();
     // Fingerprints are computed once per distinct input, not once per
     // job: the cell inputs are the cross product of per-OS and per-app
-    // fingerprints, so a warm sweep's per-job cost is map lookups only.
-    let os_fps: BTreeMap<&str, Fingerprint> = cfg
-        .oses
-        .iter()
-        .map(|o| (o.name.as_str(), fingerprint_of(o)))
-        .collect();
-    let req_fps: BTreeMap<&(Workload, String), (Fingerprint, Fingerprint)> = reqs
-        .iter()
-        .map(|(key, (req, features))| (key, (fingerprint_of(req), fingerprint_of(features))))
-        .collect();
-
-    struct Job<'a> {
-        os: &'a OsSpec,
-        req: &'a AppRequirement,
-        baseline_features: &'a BTreeMap<String, bool>,
-        workload: Workload,
-        inputs: BTreeMap<String, Fingerprint>,
-    }
-    let mut jobs = Vec::new();
-    for os_spec in &cfg.oses {
-        for (key, (req, features)) in &reqs {
-            let (req_fp, features_fp) = req_fps[key];
-            let mut inputs = BTreeMap::new();
-            inputs.insert("os".to_owned(), os_fps[os_spec.name.as_str()]);
-            inputs.insert("requirement".to_owned(), req_fp);
-            inputs.insert("features".to_owned(), features_fp);
-            jobs.push(Job {
-                os: os_spec,
-                req,
-                baseline_features: features,
-                workload: key.0,
-                inputs,
-            });
-        }
-    }
-
-    enum JobOut {
-        Fresh,
-        Cached,
-        Skipped(SweepFailure),
-        Db(DbError),
-    }
-
-    let script = TestScript::default();
-    let workers = sweep.worker_count(jobs.len());
-    let measures_both = cfg.tier != Some(Tier::Vanilla);
-    let needs = |cell: &MatrixCell| -> bool {
-        // A cached cell satisfies the sweep only when it covers every
-        // tier this configuration measures.
-        cell.vanilla.is_some() && (!measures_both || cell.planned.is_some())
+    // fingerprints, so a warm sweep's per-job cost is lookups only.
+    let stage = Cells {
+        tier: cfg.tier,
+        measures_both: cfg.tier != Some(Tier::Vanilla),
+        script: TestScript::default(),
+        oses: &cfg.oses,
+        reports: &summary.reports,
+        os_fps: cfg.oses.iter().map(fingerprint_of).collect(),
+        req_fps: (reqs.iter().zip(&summary.reports))
+            .map(|(req, r)| (fingerprint_of(req), fingerprint_of(&r.baseline.features)))
+            .collect(),
+        reqs,
     };
-    let outcomes = pool::run_jobs(workers, &jobs, |job| {
-        let key = loupe_db::matrix_key(&job.os.name, &job.req.app, job.workload);
-        let current = db.is_current(ns::MATRIX, &key, &job.inputs);
-        let stored = match db.load_matrix_cell(&job.os.name, &job.req.app, job.workload) {
-            Ok(Some(cell)) if current && !cfg.sweep.force && needs(&cell) => {
-                db.note_hit(ns::MATRIX);
-                return JobOut::Cached;
-            }
-            Ok(stored) => stored,
-            Err(e) => return JobOut::Db(e),
-        };
-        // Stale = a cell exists but its recorded inputs no longer match
-        // (e.g. the OS profile or the app's baseline changed): the fresh
-        // measurement *replaces* it — tiers measured against outdated
-        // inputs must not survive tier composition. A current cell that
-        // merely lacks a tier (a prior `--tier vanilla` sweep) keeps its
-        // stored tiers and composes.
-        let stale = stored.is_some() && !current;
-        if stale {
-            db.note_stale(ns::MATRIX);
-        } else {
-            db.note_miss(ns::MATRIX);
-        }
-        let Some(model) = loupe_apps::registry::find(&job.req.app) else {
-            return JobOut::Skipped(SweepFailure {
-                app: job.req.app.clone(),
-                workload: job.workload,
-                error: format!("no runnable model for `{}`", job.req.app),
-            });
-        };
-        // The baseline sweep only stores reports whose baseline passed,
-        // so every app reaching this point passed on full Linux.
-        let cell = measure_cell(
-            job.os,
-            job.req,
-            model.as_ref(),
-            job.workload,
-            true,
-            cfg.tier,
-            &script,
-            Some(job.baseline_features),
-        );
-        let saved = if stale {
-            db.save_matrix_cell_replacing(&cell)
-        } else {
-            db.save_matrix_cell(&cell)
-        };
-        if let Err(e) = saved {
-            return JobOut::Db(e);
-        }
-        // Coverage after this save: replaced cells hold what was just
-        // measured; composed cells keep any stored planned tier.
-        let covers_both =
-            measures_both || (!stale && stored.as_ref().is_some_and(|c| c.planned.is_some()));
-        let meta = [(
-            "tiers".to_owned(),
-            if covers_both { "both" } else { "vanilla" }.to_owned(),
-        )]
-        .into();
-        db.record_provenance(ns::MATRIX, &key, job.inputs.clone(), meta);
-        JobOut::Fresh
-    });
-
+    let jobs: Vec<(usize, usize)> = (0..cfg.oses.len())
+        .flat_map(|os| (0..stage.reqs.len()).map(move |r| (os, r)))
+        .collect();
+    let outcomes = stage::run(&stage, db, &jobs, cfg.sweep.workers, cfg.sweep.force);
     let mut matrix = MatrixSummary::default();
-    for (outcome, job) in outcomes.into_iter().zip(&jobs) {
+    for outcome in outcomes {
         match outcome {
-            Ok(JobOut::Fresh) => matrix.analyzed += 1,
-            Ok(JobOut::Cached) => matrix.cached += 1,
-            Ok(JobOut::Skipped(f)) => summary.failures.push(f),
-            Ok(JobOut::Db(e)) => return Err(e),
-            Err(panic) => summary.failures.push(SweepFailure {
-                app: job.req.app.clone(),
-                workload: job.workload,
-                error: format!("matrix measurement panicked: {panic}"),
-            }),
+            Ok(Done::Fresh(())) => matrix.analyzed += 1,
+            Ok(Done::Cached(())) => matrix.cached += 1,
+            Err(JobError::Failed(f)) => summary.failures.push(f),
+            Err(JobError::Db(e)) => return Err(e),
         }
     }
-    summary.failures.sort_by(|a, b| {
-        (a.app.as_str(), a.workload.label()).cmp(&(b.app.as_str(), b.workload.label()))
-    });
+    sort_failures(&mut summary.failures);
 
     // Aggregate everything now stored for the swept OSes — including
     // cells from earlier (cached) sweeps, so the summary always reflects
@@ -340,8 +231,102 @@ pub fn sweep_matrix(
         .collect();
     matrix.stats = aggregate(&cells, &os_sizes(&cfg.oses));
     summary.matrix = Some(matrix);
-    summary.cache = db.session_cache_stats();
     Ok(summary)
+}
+
+/// The matrix stage: one cell per `(os, app, workload)`. A cell's
+/// recorded `tiers` meta (`both` or `vanilla`) says which tiers the
+/// stored cell covers, so a current cell is answered without reading
+/// it.
+struct Cells<'a> {
+    tier: Option<Tier>,
+    measures_both: bool,
+    script: TestScript,
+    oses: &'a [OsSpec],
+    /// The stored baselines, whose feature maps the runs are judged
+    /// against.
+    reports: &'a [AppReport],
+    reqs: Vec<AppRequirement>,
+    os_fps: Vec<Fingerprint>,
+    /// Requirement and feature-map fingerprints, per baseline.
+    req_fps: Vec<(Fingerprint, Fingerprint)>,
+}
+
+impl Stage for Cells<'_> {
+    const NS: &'static str = ns::MATRIX;
+    /// Indices of the OS and the baseline.
+    type Job = (usize, usize);
+    type Out = ();
+    type Error = JobError;
+
+    fn key(&self, &(os, r): &Self::Job) -> (String, Inputs) {
+        let (req_fp, features_fp) = self.req_fps[r];
+        let mut inputs = Inputs::new();
+        inputs.insert("os".to_owned(), self.os_fps[os]);
+        inputs.insert("requirement".to_owned(), req_fp);
+        inputs.insert("features".to_owned(), features_fp);
+        let report = &self.reports[r];
+        let key = loupe_db::matrix_key(&self.oses[os].name, &report.app, report.workload);
+        (key, inputs)
+    }
+
+    /// A cached cell satisfies the sweep only when it covers every tier
+    /// this configuration measures.
+    fn serve(&self, _: &Database, _: &Self::Job, meta: &Meta) -> Served<Self> {
+        let covered = match meta.get("tiers").map(String::as_str) {
+            Some("both") => true,
+            Some("vanilla") => !self.measures_both,
+            _ => false,
+        };
+        Ok(covered.then_some(()))
+    }
+
+    fn derive(&self, db: &Database, &(os, r): &Self::Job, prior: &Provenance) -> Fresh<Self> {
+        let (app, workload) = (&self.reports[r].app, self.reports[r].workload);
+        let Some(model) = loupe_apps::registry::find(app) else {
+            let error = format!("no runnable model for `{app}`");
+            return Err(JobError::failed(app, workload, error));
+        };
+        // The baseline sweep only stores reports whose baseline passed,
+        // so every app reaching this point passed on full Linux.
+        let cell = measure_cell(
+            &self.oses[os],
+            &self.reqs[r],
+            model.as_ref(),
+            workload,
+            true,
+            self.tier,
+            &self.script,
+            Some(&self.reports[r].baseline.features),
+        );
+        // A current cell that merely lacks a tier (a prior `--tier
+        // vanilla` sweep) keeps its stored tiers and composes. Anything
+        // else — e.g. a cell whose OS profile or baseline changed — is
+        // replaced: tiers measured against outdated inputs must not
+        // survive tier composition.
+        let stored_both = match prior {
+            Provenance::Current(meta) => {
+                db.save_matrix_cell(&cell)?;
+                meta.get("tiers").is_some_and(|t| t == "both")
+            }
+            _ => {
+                db.save_matrix_cell_replacing(&cell)?;
+                false
+            }
+        };
+        let tiers = if self.measures_both || stored_both {
+            "both"
+        } else {
+            "vanilla"
+        };
+        let meta = [("tiers".to_owned(), tiers.to_owned())].into();
+        Ok(Derived::saved((), Some(meta)))
+    }
+
+    fn panicked(&self, &(_, r): &Self::Job, message: String) -> JobError {
+        let error = format!("matrix measurement panicked: {message}");
+        JobError::failed(&self.reports[r].app, self.reports[r].workload, error)
+    }
 }
 
 /// OS name → implemented-syscall count, for aggregation.

@@ -8,9 +8,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use loupe_apps::{registry, Workload};
-use loupe_core::fingerprint_of;
-use loupe_db::{ns, Database, DbError};
-use loupe_plan::{os, OsSpec, PlanValidation, PlanValidator, SupportPlan, ValidateError};
+use loupe_core::{fingerprint_of, Fingerprint};
+use loupe_db::{ns, Database, DbError, Provenance};
+use loupe_plan::{
+    os, AppRequirement, OsSpec, PlanValidation, PlanValidator, SupportPlan, ValidateError,
+};
+
+use crate::stage::{self, Derived, Done, Fresh, Inputs, Meta, Served, Stage};
 
 /// Errors from a fleet-wide validation pass.
 #[derive(Debug)]
@@ -45,6 +49,16 @@ impl From<DbError> for PlanSweepError {
     }
 }
 
+/// Input fingerprints of one plan validation, keyed by role: a
+/// validation is a deterministic replay of the plan generated from
+/// exactly the OS spec and the workload's requirements.
+pub fn plan_inputs(os: Fingerprint, requirements: Fingerprint) -> BTreeMap<String, Fingerprint> {
+    let mut inputs = BTreeMap::new();
+    inputs.insert("os".to_owned(), os);
+    inputs.insert("requirements".to_owned(), requirements);
+    inputs
+}
+
 /// Validates the support plan of every OS in `oses` against the stored
 /// measurements of every workload in `workloads` that has reports, and
 /// persists each verdict into `db`. Returns the validations in
@@ -59,47 +73,82 @@ pub fn validate_plans(
     workloads: &[Workload],
     oses: &[OsSpec],
 ) -> Result<Vec<PlanValidation>, PlanSweepError> {
-    let validator = PlanValidator::new();
-    let mut out = Vec::new();
+    let mut reqs = BTreeMap::new();
     for &workload in workloads {
-        let reqs = db.requirements(workload)?;
-        if reqs.is_empty() {
-            continue;
-        }
-        // One requirements fingerprint per workload, one OS fingerprint
-        // per spec: a validation is a deterministic replay of the plan
-        // generated from exactly these two inputs.
-        let reqs_fp = fingerprint_of(&reqs);
-        for spec in oses {
-            let key = loupe_db::plan_key(&spec.name, workload);
-            let mut inputs = BTreeMap::new();
-            inputs.insert("os".to_owned(), fingerprint_of(spec));
-            inputs.insert("requirements".to_owned(), reqs_fp);
-            if db.is_current(ns::PLANS, &key, &inputs) {
-                if let Some(stored) = db.load_plan_validation(&spec.name, workload)? {
-                    db.note_hit(ns::PLANS);
-                    out.push(stored);
-                    continue;
-                }
-            }
-            if db.recorded_output(ns::PLANS, &key).is_some() {
-                db.note_stale(ns::PLANS);
-            } else {
-                db.note_miss(ns::PLANS);
-            }
-            let plan = SupportPlan::generate(spec, &reqs);
-            let validation = validator
-                .validate(spec, &plan, &reqs, workload, registry::find)
-                .map_err(|error| PlanSweepError::Validate {
-                    os: spec.name.clone(),
-                    error,
-                })?;
-            db.save_plan_validation(&validation)?;
-            db.record_provenance(ns::PLANS, &key, inputs, BTreeMap::new());
-            out.push(validation);
+        let workload_reqs = db.requirements(workload)?;
+        if !workload_reqs.is_empty() {
+            // One requirements fingerprint per workload.
+            let fp = fingerprint_of(&workload_reqs);
+            reqs.insert(workload, (workload_reqs, fp));
         }
     }
-    Ok(out)
+    let stage = Validations {
+        validator: PlanValidator::new(),
+        oses,
+        reqs,
+    };
+    let jobs: Vec<(Workload, usize)> = workloads
+        .iter()
+        .filter(|w| stage.reqs.contains_key(w))
+        .flat_map(|&w| (0..oses.len()).map(move |os| (w, os)))
+        .collect();
+    // One worker: validations run serially (running them in parallel
+    // is a performance change to measure on its own).
+    stage::run(&stage, db, &jobs, 1, false)
+        .into_iter()
+        .map(|outcome| match outcome? {
+            Done::Cached(v) | Done::Fresh(v) => Ok(v),
+        })
+        .collect()
+}
+
+/// The plan stage: one validation per `(workload, OS)`.
+struct Validations<'a> {
+    validator: PlanValidator,
+    oses: &'a [OsSpec],
+    /// Each workload's requirements and their fingerprint.
+    reqs: BTreeMap<Workload, (Vec<AppRequirement>, Fingerprint)>,
+}
+
+impl Stage for Validations<'_> {
+    const NS: &'static str = ns::PLANS;
+    type Job = (Workload, usize);
+    type Out = PlanValidation;
+    type Error = PlanSweepError;
+
+    fn key(&self, &(workload, os): &Self::Job) -> (String, Inputs) {
+        (
+            loupe_db::plan_key(&self.oses[os].name, workload),
+            plan_inputs(fingerprint_of(&self.oses[os]), self.reqs[&workload].1),
+        )
+    }
+
+    fn serve(&self, db: &Database, &(workload, os): &Self::Job, _: &Meta) -> Served<Self> {
+        Ok(db.load_plan_validation(&self.oses[os].name, workload)?)
+    }
+
+    /// Overwrites: a validation describes one deterministic replay.
+    fn derive(&self, db: &Database, &(workload, os): &Self::Job, _: &Provenance) -> Fresh<Self> {
+        let spec = &self.oses[os];
+        let reqs = &self.reqs[&workload].0;
+        let plan = SupportPlan::generate(spec, reqs);
+        let validation = self
+            .validator
+            .validate(spec, &plan, reqs, workload, registry::find)
+            .map_err(|error| PlanSweepError::Validate {
+                os: spec.name.clone(),
+                error,
+            })?;
+        db.save_plan_validation(&validation)?;
+        Ok(Derived::saved(validation, Some(Meta::new())))
+    }
+
+    fn panicked(&self, &(workload, os): &Self::Job, message: String) -> PlanSweepError {
+        PlanSweepError::Db(DbError::Io(std::io::Error::other(format!(
+            "validating the {} plan for {workload} panicked: {message}",
+            self.oses[os].name
+        ))))
+    }
 }
 
 /// Validates plans for the curated OS specs of §4.1 — the default set

@@ -1,36 +1,25 @@
-//! The work-stealing worker pool shared by the sweep stages.
+//! The work-stealing worker pool the stage driver ([`crate::stage`])
+//! runs every sweep stage on.
 //!
-//! Both the dynamic fleet sweep ([`crate::Sweep`]) and the static
-//! analysis stage ([`crate::statics`]) fan a job list out over a fixed
-//! number of worker threads. Jobs are dealt round-robin into per-worker
+//! The driver fans a stage's job list out over a fixed number of worker
+//! threads. Jobs are dealt round-robin into per-worker
 //! deques; a worker drains its own deque from the front and, when empty,
 //! steals from the back of its neighbours'. Compared to the previous
 //! single shared counter, contention stays on the cold path (stealing
 //! only happens when a worker runs dry), and long-tailed jobs no longer
 //! serialise behind one hot mutex.
 //!
-//! The pool guarantees two properties the stages rely on:
-//!
-//! * **deterministic ordering** — job *i*'s outcome lands in slot *i*
-//!   of the returned vector regardless of worker count or scheduling;
-//! * **panic isolation** — a job that panics (e.g. a buggy app model)
-//!   yields `Err(panic message)` for *that job only*; the worker thread
-//!   and the result slots survive, and every other job still runs.
-//!   Before this existed, one panicking model poisoned the slots mutex
-//!   and took the whole sweep down with an opaque `expect` failure.
+//! The pool guarantees **deterministic ordering**: job *i*'s outcome
+//! lands in slot *i* of the returned vector regardless of worker count
+//! or scheduling. Jobs must not panic; the driver catches panics inside
+//! each job.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-/// Runs `f` over every job on `workers` threads, returning one slot per
-/// job in job order. A panicking job resolves to `Err` with the panic
-/// payload rendered as text.
-pub(crate) fn run_jobs<J, R>(
-    workers: usize,
-    jobs: &[J],
-    f: impl Fn(&J) -> R + Sync,
-) -> Vec<Result<R, String>>
+/// Runs `f` over every job on `workers` threads, returning one result
+/// per job in job order.
+pub(crate) fn run_jobs<J, R>(workers: usize, jobs: &[J], f: impl Fn(&J) -> R + Sync) -> Vec<R>
 where
     J: Sync,
     R: Send,
@@ -48,8 +37,7 @@ where
         .collect();
     // One mutex per slot instead of one around the whole vector: a
     // result landing never contends with another worker's result.
-    let slots: Vec<Mutex<Option<Result<R, String>>>> =
-        (0..jobs.len()).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = (0..jobs.len()).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
         for me in 0..workers {
@@ -74,11 +62,8 @@ where
                 let Some(i) = found else {
                     break;
                 };
-                // The job body runs *outside* any lock, so even a
-                // panicking job cannot poison anything; catch_unwind
-                // keeps the worker alive for the remaining jobs.
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| f(&jobs[i]))).map_err(|p| panic_message(&*p));
+                // The job body runs *outside* any lock.
+                let outcome = f(&jobs[i]);
                 *slots[i].lock().expect("no job runs under a slot lock") = Some(outcome);
             });
         }
@@ -94,17 +79,6 @@ where
         .collect()
 }
 
-/// Renders a panic payload the way `std` does for unwinding panics.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unprintable panic payload".to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,30 +88,13 @@ mod tests {
         let jobs: Vec<usize> = (0..64).collect();
         let out = run_jobs(8, &jobs, |&j| j * 2);
         for (i, r) in out.iter().enumerate() {
-            assert_eq!(*r.as_ref().unwrap(), i * 2);
-        }
-    }
-
-    #[test]
-    fn a_panicking_job_fails_alone() {
-        let jobs: Vec<usize> = (0..16).collect();
-        let out = run_jobs(4, &jobs, |&j| {
-            assert!(j != 7, "job seven exploded");
-            j
-        });
-        for (i, r) in out.iter().enumerate() {
-            if i == 7 {
-                let msg = r.as_ref().unwrap_err();
-                assert!(msg.contains("job seven exploded"), "{msg}");
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i, "other jobs unaffected");
-            }
+            assert_eq!(*r, i * 2);
         }
     }
 
     #[test]
     fn empty_job_list_is_empty() {
-        let out: Vec<Result<(), String>> = run_jobs(4, &[] as &[u8], |_| ());
+        let out: Vec<()> = run_jobs(4, &[] as &[u8], |_| ());
         assert!(out.is_empty());
     }
 
@@ -159,7 +116,7 @@ mod tests {
         });
         assert_eq!(executed.load(Ordering::Relaxed), 32, "every job ran once");
         for (i, r) in out.iter().enumerate() {
-            assert_eq!(*r.as_ref().unwrap(), i);
+            assert_eq!(*r, i);
         }
     }
 
@@ -169,9 +126,7 @@ mod tests {
         let reference = run_jobs(1, &jobs, |&j| j * j);
         for workers in [2, 3, 8, 64] {
             let out = run_jobs(workers, &jobs, |&j| j * j);
-            for (a, b) in reference.iter().zip(out.iter()) {
-                assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
-            }
+            assert_eq!(reference, out);
         }
     }
 }

@@ -25,18 +25,19 @@
 
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 use loupe_apps::{AppModel, ProgramGraph, Workload};
-use loupe_core::{fingerprint_of, AppReport};
-use loupe_db::{ns, Database, DbError};
+use loupe_core::{fingerprint_of, AppReport, Fingerprint};
+use loupe_db::{ns, Database, DbError, Provenance};
 use loupe_plan::{importance_fractions, os, AppRequirement, SupportPlan};
 use loupe_static::{analyze_graph, api_importance, Level, StaticReport};
 use loupe_syscalls::{Sysno, SysnoSet};
 
-use crate::pool;
+use crate::stage::{self, Derived, Done, Fresh, Inputs, Meta, Served, Stage};
 
 /// The outcome of a static sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StaticSweepSummary {
     /// Entries analysed fresh in this sweep.
     pub analyzed: usize,
@@ -90,79 +91,30 @@ pub fn sweep_static_levels(
     let jobs: Vec<(usize, Level)> = (0..apps.len())
         .flat_map(|a| levels.iter().map(move |&l| (a, l)))
         .collect();
-    let workers = effective_workers(workers, jobs.len());
-
-    // The graph — and therefore every level's report — is a pure
-    // function of the app's descriptor, so the cache input set is the
-    // (spec, code) fingerprint alone, computed once per app. The
-    // lowered graphs are shared read-only across the per-level jobs.
-    let app_fps: Vec<loupe_core::Fingerprint> = apps
-        .iter()
-        .map(|app| fingerprint_of(&(app.spec(), app.code())))
-        .collect();
-    // Graphs are lowered on demand: a fully cached sweep (the common
-    // CI re-run) answers every job from the provenance manifest and
-    // never lowers anything.
-    let graphs: Vec<std::sync::OnceLock<ProgramGraph>> = (0..apps.len())
-        .map(|_| std::sync::OnceLock::new())
-        .collect();
-
-    enum JobOut {
-        Fresh(StaticReport),
-        Cached,
-        Db(DbError),
-    }
-
-    let outcomes = pool::run_jobs(workers, &jobs, |&(app_idx, level)| {
-        let app = apps[app_idx].as_ref();
-        let key = loupe_db::static_key(level, app.name());
-        let mut inputs = std::collections::BTreeMap::new();
-        inputs.insert("app".to_owned(), app_fps[app_idx]);
-        // A current fingerprint answers the job outright: the stored
-        // report is not re-read, let alone re-parsed — witnesses make
-        // L0 artifacts large, and provenance was only recorded after a
-        // successful save.
-        let current = db.is_current(ns::STATIC, &key, &inputs);
-        if current && !force {
-            db.note_hit(ns::STATIC);
-            return JobOut::Cached;
-        }
-        if !current && db.contains_static(level, app.name()) {
-            db.note_stale(ns::STATIC);
-        } else {
-            db.note_miss(ns::STATIC);
-        }
-        let graph = graphs[app_idx].get_or_init(|| ProgramGraph::lower(apps[app_idx].as_ref()));
-        let report = analyze_graph(graph, level);
-        match db.save_static(&report) {
-            Ok(()) => {
-                db.record_provenance(ns::STATIC, &key, inputs, Default::default());
-                JobOut::Fresh(report)
-            }
-            Err(e) => JobOut::Db(e),
-        }
-    });
-
-    let mut summary = StaticSweepSummary {
-        analyzed: 0,
-        cached: 0,
-        reports: Vec::new(),
+    let stage = Ladder {
+        // The graph — and therefore every level's report — is a pure
+        // function of the app's descriptor, so the cache input set is
+        // the (spec, code) fingerprint alone, computed once per app.
+        app_fps: apps
+            .iter()
+            .map(|app| fingerprint_of(&(app.spec(), app.code())))
+            .collect(),
+        // Graphs are lowered on demand and shared read-only across the
+        // per-level jobs: a fully cached sweep (the common CI re-run)
+        // answers every job from the provenance manifest and never
+        // lowers anything.
+        graphs: (0..apps.len()).map(|_| OnceLock::new()).collect(),
+        apps,
     };
-    for (outcome, &(app_idx, level)) in outcomes.into_iter().zip(&jobs) {
-        match outcome {
-            Ok(JobOut::Fresh(r)) => {
+
+    let mut summary = StaticSweepSummary::default();
+    for outcome in stage::run(&stage, db, &jobs, workers, force) {
+        match outcome? {
+            Done::Fresh(report) => {
                 summary.analyzed += 1;
-                summary.reports.push(r);
+                summary.reports.extend(report);
             }
-            Ok(JobOut::Cached) => summary.cached += 1,
-            Ok(JobOut::Db(e)) => return Err(e),
-            Err(panic) => {
-                return Err(DbError::Io(std::io::Error::other(format!(
-                    "static analysis of {} ({}) panicked: {panic}",
-                    apps[app_idx].name(),
-                    level.label()
-                ))))
-            }
+            Done::Cached(_) => summary.cached += 1,
         }
     }
     summary
@@ -171,13 +123,51 @@ pub fn sweep_static_levels(
     Ok(summary)
 }
 
-fn effective_workers(workers: usize, jobs: usize) -> usize {
-    let auto = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(16);
-    let chosen = if workers == 0 { auto } else { workers };
-    chosen.clamp(1, jobs.max(1))
+/// The static stage: one report per `(app, level)`.
+struct Ladder {
+    apps: Vec<Box<dyn AppModel>>,
+    app_fps: Vec<Fingerprint>,
+    graphs: Vec<OnceLock<ProgramGraph>>,
+}
+
+impl Stage for Ladder {
+    const NS: &'static str = ns::STATIC;
+    type Job = (usize, Level);
+    /// The fresh report; `None` for a hit, which is answered without
+    /// reading the stored report.
+    type Out = Option<StaticReport>;
+    type Error = DbError;
+
+    fn key(&self, &(app, level): &Self::Job) -> (String, Inputs) {
+        (
+            loupe_db::static_key(level, self.apps[app].name()),
+            [("app".to_owned(), self.app_fps[app])].into(),
+        )
+    }
+
+    /// A current fingerprint answers the job outright: the stored
+    /// report is not re-read, let alone re-parsed — witnesses make L0
+    /// artifacts large, and provenance was only recorded after a
+    /// successful save.
+    fn serve(&self, _: &Database, _: &Self::Job, _: &Meta) -> Served<Self> {
+        Ok(Some(None))
+    }
+
+    /// Overwrites: static analysis is pure, there is nothing to merge.
+    fn derive(&self, db: &Database, &(app, level): &Self::Job, _: &Provenance) -> Fresh<Self> {
+        let graph = self.graphs[app].get_or_init(|| ProgramGraph::lower(self.apps[app].as_ref()));
+        let report = analyze_graph(graph, level);
+        db.save_static(&report)?;
+        Ok(Derived::saved(Some(report), Some(Meta::new())))
+    }
+
+    fn panicked(&self, &(app, level): &Self::Job, message: String) -> DbError {
+        DbError::Io(std::io::Error::other(format!(
+            "static analysis of {} ({}) panicked: {message}",
+            self.apps[app].name(),
+            level.label()
+        )))
+    }
 }
 
 /// Errors from the static-vs-dynamic comparison.

@@ -10,6 +10,9 @@
 //!    are byte-identical across worker counts (1, 2, 8) and across
 //!    cold-vs-warm runs, so caching and work-stealing never leak into
 //!    the generated documentation.
+//! 3. **Cache decisions** — every cached stage takes exactly one
+//!    hit/miss/stale decision per job, pinned per namespace for cold,
+//!    warm, forced and invalidated runs.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -20,7 +23,9 @@ use loupe_apps::{registry, Workload};
 use loupe_core::Fingerprint;
 use loupe_db::{ns, Database};
 use loupe_plan::os;
-use loupe_sweep::{report, sweep_gentests, GentestsConfig, MatrixConfig, SweepConfig};
+use loupe_sweep::{
+    report, sweep_gentests, sweep_static, validate_plans, GentestsConfig, MatrixConfig, SweepConfig,
+};
 use loupe_syscalls::{Sysno, SysnoSet};
 use proptest::prelude::*;
 
@@ -233,4 +238,67 @@ fn rendered_docs_identical_across_workers_and_cache_state() {
         assert_eq!(m1, m, "OS_MATRIX.md differs across worker counts");
         assert_eq!(c1, c, "CONFORMANCE.md differs across worker counts");
     }
+}
+
+/// One run of all five cached stages through a fresh handle (as one
+/// CLI call per stage would see it); returns the session's
+/// `(hits, misses, stale)` per namespace.
+fn run_all_stages(dir: &Path, force: bool) -> BTreeMap<&'static str, (u64, u64, u64)> {
+    let oses = vec![os::find("kerla").unwrap(), os::find("gvisor").unwrap()];
+    let db = Database::open(dir).unwrap();
+    let mut gentests = cfg(oses.clone(), 2);
+    gentests.matrix.sweep.force = force;
+    let summary = sweep_gentests(&db, fleet(), &gentests).unwrap();
+    assert!(summary.is_clean(), "{:?}", summary.disagreements);
+    sweep_static(&db, fleet(), 2, force).unwrap();
+    validate_plans(&db, &[Workload::HealthCheck], &oses).unwrap();
+    let stats = db.session_cache_stats();
+    [ns::BASELINES, ns::STATIC, ns::PLANS, ns::MATRIX, ns::SUITES]
+        .into_iter()
+        .map(|namespace| {
+            let c = stats.namespaces.get(namespace).copied().unwrap_or_default();
+            (namespace, (c.hits, c.misses, c.stale))
+        })
+        .collect()
+}
+
+/// Per-namespace `(hits, misses, stale)` of every cached stage over a
+/// 2-app × 2-OS × 1-workload fleet (2 baselines, 8 static reports, 2
+/// plan validations, 4 matrix cells, 4 suites): cold, warm, forced,
+/// and after invalidating one OS's provenance.
+#[test]
+fn cache_decisions_are_pinned_per_namespace() {
+    let dir = tmpdir("decisions", 0);
+    let expect = |rows: [(u64, u64, u64); 5]| -> BTreeMap<&'static str, (u64, u64, u64)> {
+        [ns::BASELINES, ns::STATIC, ns::PLANS, ns::MATRIX, ns::SUITES]
+            .into_iter()
+            .zip(rows)
+            .collect()
+    };
+    assert_eq!(
+        run_all_stages(&dir, false),
+        expect([(0, 2, 0), (0, 8, 0), (0, 2, 0), (0, 4, 0), (0, 4, 0)]),
+        "cold"
+    );
+    assert_eq!(
+        run_all_stages(&dir, false),
+        expect([(2, 0, 0), (8, 0, 0), (2, 0, 0), (4, 0, 0), (4, 0, 0)]),
+        "warm"
+    );
+    assert_eq!(
+        run_all_stages(&dir, true),
+        expect([(0, 2, 0), (0, 8, 0), (2, 0, 0), (0, 4, 0), (0, 4, 0)]),
+        "force"
+    );
+    {
+        let db = Database::open(&dir).unwrap();
+        db.invalidate_matching(Some("kerla"), None);
+        db.flush().unwrap();
+    }
+    assert_eq!(
+        run_all_stages(&dir, false),
+        expect([(2, 0, 0), (8, 0, 0), (1, 0, 1), (2, 0, 2), (2, 0, 2)]),
+        "after invalidating kerla"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
