@@ -183,8 +183,6 @@ commands:
                                       (default: 50; 0 disables batching)
       --watch-ms N                    db-change poll interval in milliseconds
                                       (default: 200; 0 disables the watcher)
-      --eager                         build the plan/inverted-syscall tables at
-                                      startup instead of on first query
   query                        ask a running daemon one question
       --addr A                        daemon address (default: 127.0.0.1:7071)
       --os X --app Y                  compatibility verdict (the default mode)
@@ -342,7 +340,7 @@ fn save_baseline(
     analysis: &AnalysisConfig,
     report: &loupe_core::AppReport,
 ) -> Result<(), String> {
-    db.save(report).map_err(|e| e.to_string())?;
+    db.put(report.clone()).map_err(|e| e.to_string())?;
     if report.is_linux_baseline() {
         db.record_provenance(
             loupe_db::ns::BASELINES,
@@ -600,10 +598,10 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     // A measured app the registry no longer knows cannot be statically
     // analysed at all — name it instead of wedging on MissingStatic.
     let measured: std::collections::BTreeSet<String> = db
-        .list()
+        .keys::<loupe_core::AppReport>()
         .map_err(|e| e.to_string())?
-        .into_iter()
-        .map(|(app, _)| app)
+        .iter()
+        .filter_map(|key| Some(key.split_once('/')?.0.to_owned()))
         .collect();
     let unknown: Vec<&str> = measured
         .iter()
@@ -777,7 +775,11 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let db_dir = flag_value(args, "--db").unwrap_or(DEFAULT_DB);
     let db = Database::open(db_dir).map_err(|e| e.to_string())?;
     let docs_dir = std::path::Path::new(flag_value(args, "--docs").unwrap_or("docs"));
-    if db.list().map_err(|e| e.to_string())?.is_empty() {
+    if db
+        .keys::<loupe_core::AppReport>()
+        .map_err(|e| e.to_string())?
+        .is_empty()
+    {
         return Err(format!(
             "report: database `{db_dir}` is empty; run `loupe sweep` first"
         ));
@@ -893,19 +895,14 @@ fn cmd_gentests(args: &[String]) -> Result<(), String> {
     }
     if let Some(out_dir) = flag_value(args, "--out") {
         let mut exported = 0;
-        for (os_name, app, workload) in db.list_suites().map_err(|e| e.to_string())? {
-            let Some(suite) = db
-                .load_suite(&os_name, &app, workload)
-                .map_err(|e| e.to_string())?
-            else {
-                continue;
-            };
+        for suite in db.load_suites().map_err(|e| e.to_string())? {
             let dir = std::path::Path::new(out_dir)
-                .join(&os_name)
-                .join(workload.label());
+                .join(&suite.os)
+                .join(suite.workload.label());
             std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
             let json = serde_json::to_string_pretty(&suite).map_err(|e| e.to_string())?;
-            std::fs::write(dir.join(format!("{app}.json")), json).map_err(|e| e.to_string())?;
+            let file = dir.join(format!("{}.json", suite.app));
+            std::fs::write(file, json).map_err(|e| e.to_string())?;
             exported += 1;
         }
         println!("exported {exported} suite files under {out_dir}");
@@ -1059,7 +1056,8 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
     for app in &apps {
         let cached = db
             .as_ref()
-            .and_then(|db| db.load(app.name(), workload).ok().flatten());
+            .and_then(|db| db.get(&loupe_db::baseline_key(app.name(), workload)).ok())
+            .flatten();
         let report = match cached {
             Some(r) => r,
             None => {
@@ -1084,8 +1082,7 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         print!("{}", validation.to_table());
         if let Some(db) = &db {
-            db.save_plan_validation(&validation)
-                .map_err(|e| e.to_string())?;
+            db.put(validation.clone()).map_err(|e| e.to_string())?;
             // The provenance the plan stage records, so a later
             // `sweep --validate-plans` serves this validation from cache.
             db.record_provenance(
@@ -1137,7 +1134,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         threads,
         batch_window: std::time::Duration::from_micros(batch_us),
         watch_interval: std::time::Duration::from_millis(watch_ms),
-        eager: args.iter().any(|a| a == "--eager"),
     };
     let server = loupe_serve::Server::start(db_dir, cfg).map_err(|e| e.to_string())?;
     // Scripted clients parse this line for the resolved port.

@@ -2,11 +2,19 @@
 //! Loupe Results").
 //!
 //! Results are final for a fixed build of the software, its workload and
-//! kernel, so they are worth persisting and sharing. This crate stores
-//! [`AppReport`]s as JSON files in a directory tree
-//! (`<root>/<app>/<workload>.json`), supports conservative merging of
-//! repeated measurements, and imports/exports OS support specs in the
-//! paper's one-syscall-per-line CSV form.
+//! kernel, so they are worth persisting and sharing. This crate is one
+//! typed artifact store: every stored type — baseline and
+//! restricted-environment [`AppReport`]s, matrix cells, conformance
+//! suites, static reports and plan validations — is an [`Artifact`] that
+//! knows its namespace's path ↔ key layout, the key a value is stored
+//! under and how a new value composes with the stored one. One generic
+//! family serves them all: [`Database::put`] composes (baselines merge
+//! conservatively, matrix cells keep the tiers a new cell did not
+//! measure, everything else overwrites), [`Database::replace`]
+//! overwrites, and [`Database::get`], [`Database::keys`] and
+//! [`Database::all`] read. Entries are JSON files in a directory tree
+//! (baselines at `<root>/<app>/<workload>.json`). OS support specs are
+//! imported/exported in the paper's one-syscall-per-line CSV form.
 //!
 //! On top of the JSON tree sit two derived layers that make warm sweeps
 //! incremental and fast:
@@ -26,15 +34,18 @@
 //! # Examples
 //!
 //! ```
+//! use loupe_core::AppReport;
 //! use loupe_db::Database;
 //!
 //! let dir = std::env::temp_dir().join("loupedb-doc-example");
 //! let db = Database::open(&dir).unwrap();
-//! assert!(db.list().unwrap().is_empty() || !db.list().unwrap().is_empty());
+//! for key in db.keys::<AppReport>().unwrap() {
+//!     assert!(db.get::<AppReport>(&key).unwrap().is_some());
+//! }
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -42,15 +53,18 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use loupe_apps::Workload;
-use loupe_core::{fingerprint_of, AppReport, FeatureClass, Fingerprint, Impact, LINUX_ENV};
+use loupe_core::{fingerprint_of, AppReport, FeatureClass, Fingerprint, Impact};
 use loupe_gentests::ConformanceSuite;
-use loupe_plan::{AppRequirement, MatrixCell, OsSpec, PlanValidation};
+use loupe_plan::{AppRequirement, MatrixCell, OsSpec};
 use loupe_static::{Level, StaticReport};
 
+mod artifact;
 pub mod lock;
 pub mod manifest;
 pub mod snapshot;
 
+pub use artifact::{baseline_key, env_key, matrix_key, plan_key, static_key, suite_key, Artifact};
+use artifact::{SlotState, Slots, SnapshotSlot, LAYOUTS};
 pub use lock::{FileLock, LOCK_FILE};
 pub use manifest::{
     ns, ArtifactRecord, CacheCounters, CacheStats, Decision, Manifest, Provenance, MANIFEST_VERSION,
@@ -87,28 +101,6 @@ impl fmt::Debug for Database {
     }
 }
 
-/// In-memory snapshot cache of one namespace, keyed by the manifest
-/// generation it reflects.
-type SnapshotSlot<T> = Mutex<SlotState<T>>;
-
-/// What the process currently knows about one namespace's snapshot.
-/// The states form a ladder — `Empty` → (`Unavailable` | `Mapped`) →
-/// `Decoded` — climbed lazily: a point read maps the disk snapshot and
-/// decodes single values out of it; only a bulk read pays for decoding
-/// the whole namespace. Any generation bump resets the ladder.
-enum SlotState<T> {
-    /// Nothing learned yet.
-    Empty,
-    /// No usable disk snapshot at this generation — point reads go
-    /// straight to the JSON files without re-probing the index.
-    Unavailable(u64),
-    /// Disk snapshot memory-mapped and validated; values decode
-    /// per-key on demand.
-    Mapped(u64, snapshot::MappedSnapshot),
-    /// Whole namespace decoded into memory.
-    Decoded(u64, Arc<BTreeMap<String, T>>),
-}
-
 struct Shared {
     root: PathBuf,
     manifest: Mutex<ManifestState>,
@@ -118,10 +110,7 @@ struct Shared {
     /// Extended across processes by the advisory [`lock::FileLock`]
     /// taken with it (see [`Shared::lock_writers`]).
     write_lock: Mutex<()>,
-    baselines: SnapshotSlot<AppReport>,
-    matrix: SnapshotSlot<MatrixCell>,
-    suites: SnapshotSlot<ConformanceSuite>,
-    statics: SnapshotSlot<StaticReport>,
+    slots: Slots,
 }
 
 struct ManifestState {
@@ -333,272 +322,10 @@ impl From<io::Error> for DbError {
     }
 }
 
-/// One piece of a namespace's on-disk path.
-#[derive(Clone, Copy, PartialEq)]
-enum Seg {
-    /// A literal directory name.
-    Dir(&'static str),
-    /// A key segment naming an OS (or a restricted environment).
-    Os,
-    /// A key segment naming an application.
-    App,
-    /// A key segment that must be a workload label.
-    Workload,
-    /// A key segment that must be a static-analysis level label; the
-    /// pre-ladder `binary`/`source` directories read as L0/L3.
-    Level,
-}
-
-impl Seg {
-    /// The key segment a stored directory or file stem stands for, if
-    /// it is a valid one.
-    fn canonical(self, name: &str) -> Option<String> {
-        match self {
-            Seg::Workload => workload_of(name).map(|_| name.to_owned()),
-            Seg::Level => level_of(name).map(|l| l.label().to_owned()),
-            Seg::Dir(_) | Seg::Os | Seg::App => Some(name.to_owned()),
-        }
-    }
-}
-
-/// Path ↔ key layout of one namespace, relative to the database root:
-/// the key's segments appear in the path in key order, and the last
-/// one names the `.json` file.
-struct Layout {
-    ns: &'static str,
-    path: &'static [Seg],
-}
-
-/// Full-Linux baselines at the root, the shape every loupedb has always
-/// had: `<app>/<wl>.json`.
-const BASELINES: Layout = Layout {
-    ns: ns::BASELINES,
-    path: &[Seg::App, Seg::Workload],
-};
-/// Restricted-environment reports, segregated so they can never be
-/// confused with a baseline: `env/<env>/<app>/<wl>.json`.
-const ENV: Layout = Layout {
-    ns: ns::ENV,
-    path: &[Seg::Dir("env"), Seg::Os, Seg::App, Seg::Workload],
-};
-/// Matrix cells inside their OS's environment (no app may be called
-/// `matrix`): `env/<os>/matrix/<app>/<wl>.json`.
-const MATRIX: Layout = Layout {
-    ns: ns::MATRIX,
-    path: &[
-        Seg::Dir("env"),
-        Seg::Os,
-        Seg::Dir("matrix"),
-        Seg::App,
-        Seg::Workload,
-    ],
-};
-/// `plans/<os>/<wl>.json`.
-const PLANS: Layout = Layout {
-    ns: ns::PLANS,
-    path: &[Seg::Dir("plans"), Seg::Os, Seg::Workload],
-};
-/// `gentests/<os>/<wl>/<app>.json`.
-const SUITES: Layout = Layout {
-    ns: ns::SUITES,
-    path: &[Seg::Dir("gentests"), Seg::Os, Seg::Workload, Seg::App],
-};
-/// `static/<level>/<app>.json`.
-const STATIC: Layout = Layout {
-    ns: ns::STATIC,
-    path: &[Seg::Dir("static"), Seg::Level, Seg::App],
-};
-
-/// Every tracked namespace's layout, in [`ns::ALL`] order.
-const LAYOUTS: &[&Layout] = &[&BASELINES, &ENV, &MATRIX, &PLANS, &STATIC, &SUITES];
-
-/// Root directories that belong to other namespaces (or to none), so
-/// never to a baseline app.
-const RESERVED: &[&str] = &["env", "plans", "os", "static", "gentests", "index"];
-
-impl Layout {
-    /// The file holding `key`'s artifact under `root`.
-    fn path(&self, root: &Path, key: &str) -> PathBuf {
-        let mut parts = key.split('/');
-        let mut path = root.to_path_buf();
-        for (i, seg) in self.path.iter().enumerate() {
-            let part = match seg {
-                Seg::Dir(dir) => dir,
-                _ => parts.next().expect("key has one segment per layout slot"),
-            };
-            if i + 1 == self.path.len() {
-                path.push(format!("{part}.json"));
-            } else {
-                path.push(part);
-            }
-        }
-        path
-    }
-
-    /// Every key stored under `root`, sorted. A pre-ladder static entry
-    /// and its ladder twin are one key.
-    fn keys(&self, root: &Path) -> Result<BTreeSet<String>, DbError> {
-        let mut out = BTreeSet::new();
-        walk(root, self.path, true, &mut Vec::new(), &mut out)?;
-        Ok(out)
-    }
-
-    /// Whether `key` names the given OS and/or app. A `None` filter
-    /// matches everything; a set filter matches only layouts whose keys
-    /// carry that dimension (baselines have no OS, plans no app).
-    fn matches(&self, key: &str, os: Option<&str>, app: Option<&str>) -> bool {
-        let named = |want: Seg| {
-            self.path
-                .iter()
-                .filter(|s| !matches!(s, Seg::Dir(_)))
-                .zip(key.split('/'))
-                .find_map(|(&seg, part)| (seg == want).then_some(part))
-        };
-        os.is_none_or(|want| named(Seg::Os) == Some(want))
-            && app.is_none_or(|want| named(Seg::App) == Some(want))
-    }
-}
-
-/// The one namespace walker: descends `segs` from `dir`, collecting the
-/// key of every entry that fits the layout.
-fn walk(
-    dir: &Path,
-    segs: &[Seg],
-    top: bool,
-    key: &mut Vec<String>,
-    out: &mut BTreeSet<String>,
-) -> Result<(), DbError> {
-    let Some((&seg, rest)) = segs.split_first() else {
-        out.insert(key.join("/"));
-        return Ok(());
-    };
-    if let Seg::Dir(name) = seg {
-        return walk(&dir.join(name), rest, false, key, out);
-    }
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e.into()),
-    };
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let stem = if rest.is_empty() {
-            name.strip_suffix(".json")
-        } else if entry.file_type()?.is_dir() && !(top && RESERVED.contains(&name.as_str())) {
-            Some(name.as_str())
-        } else {
-            None
-        };
-        let Some(part) = stem.and_then(|stem| seg.canonical(stem)) else {
-            continue;
-        };
-        key.push(part);
-        walk(&entry.path(), rest, false, key, out)?;
-        key.pop();
-    }
-    Ok(())
-}
-
-/// The [`Workload`] a stored label names.
-fn workload_of(label: &str) -> Option<Workload> {
-    Workload::ALL.iter().copied().find(|w| w.label() == label)
-}
-
-/// The [`Level`] a stored label names, ladder or pre-ladder.
-fn level_of(label: &str) -> Option<Level> {
-    Level::ALL
-        .into_iter()
-        .find(|l| l.label() == label || l.legacy_label() == Some(label))
-}
-
-/// A namespace the database keeps a binary snapshot of.
-trait Artifact: Clone + serde::Serialize + serde::Deserialize {
-    const LAYOUT: Layout;
-
-    fn slot(shared: &Shared) -> &SnapshotSlot<Self>;
-
-    /// Reads one stored entry from its JSON file.
-    fn read(db: &Database, key: &str) -> Result<Option<Self>, DbError> {
-        read_json(&Self::LAYOUT.path(db.root(), key))
-    }
-}
-
-impl Artifact for AppReport {
-    const LAYOUT: Layout = BASELINES;
-
-    fn slot(shared: &Shared) -> &SnapshotSlot<Self> {
-        &shared.baselines
-    }
-}
-
-impl Artifact for MatrixCell {
-    const LAYOUT: Layout = MATRIX;
-
-    fn slot(shared: &Shared) -> &SnapshotSlot<Self> {
-        &shared.matrix
-    }
-}
-
-impl Artifact for ConformanceSuite {
-    const LAYOUT: Layout = SUITES;
-
-    fn slot(shared: &Shared) -> &SnapshotSlot<Self> {
-        &shared.suites
-    }
-}
-
-impl Artifact for StaticReport {
-    const LAYOUT: Layout = STATIC;
-
-    fn slot(shared: &Shared) -> &SnapshotSlot<Self> {
-        &shared.statics
-    }
-
-    /// Falls back to the pre-ladder location (`static/binary/`,
-    /// `static/source/`), so databases written before the L0–L3 ladder
-    /// keep serving their artifacts; writes always use the ladder path.
-    fn read(db: &Database, key: &str) -> Result<Option<Self>, DbError> {
-        if let Some(report) = read_json(&STATIC.path(db.root(), key))? {
-            return Ok(Some(report));
-        }
-        let (label, app) = key.split_once('/').expect("static key is level/app");
-        match level_of(label).and_then(Level::legacy_label) {
-            Some(legacy) => read_json(&STATIC.path(db.root(), &format!("{legacy}/{app}"))),
-            None => Ok(None),
-        }
-    }
-}
-
-/// Manifest key of a full-Linux baseline report.
-pub fn baseline_key(app: &str, workload: Workload) -> String {
-    format!("{app}/{}", workload.label())
-}
-
-/// Manifest key of a restricted-environment report.
-pub fn env_key(env: &str, app: &str, workload: Workload) -> String {
-    format!("{env}/{app}/{}", workload.label())
-}
-
-/// Manifest key of a fleet × OS matrix cell.
-pub fn matrix_key(os: &str, app: &str, workload: Workload) -> String {
-    format!("{os}/{app}/{}", workload.label())
-}
-
-/// Manifest key of a conformance suite (mirrors the on-disk layout:
-/// `gentests/<os>/<workload>/<app>.json`).
-pub fn suite_key(os: &str, app: &str, workload: Workload) -> String {
-    format!("{os}/{}/{app}", workload.label())
-}
-
-/// Manifest key of a static-analysis report.
-pub fn static_key(level: Level, app: &str) -> String {
-    format!("{}/{app}", level.label())
-}
-
-/// Manifest key of a plan validation.
-pub fn plan_key(os: &str, workload: Workload) -> String {
-    format!("{os}/{}", workload.label())
+/// Key order: segment by segment, so `redis/health` sorts before
+/// `redis-sentinel/health`.
+fn key_order(a: &str, b: &str) -> std::cmp::Ordering {
+    a.split('/').cmp(b.split('/'))
 }
 
 fn read_json<T: serde::Deserialize>(path: &Path) -> Result<Option<T>, DbError> {
@@ -625,17 +352,24 @@ fn write_json<T: serde::Serialize>(path: &Path, value: &T) -> Result<(), DbError
 }
 
 impl Database {
-    /// Opens (creating if needed) a database rooted at `root`.
+    /// Opens (creating if needed) a database rooted at `root`. A missing
+    /// `manifest.json` starts an empty manifest.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation failures.
+    /// Directory-creation failures, and a `manifest.json` that exists
+    /// but cannot be read (the error names it).
     pub fn open(root: impl AsRef<Path>) -> Result<Database, DbError> {
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(&root)?;
-        let manifest = match fs::read_to_string(root.join("manifest.json")) {
+        let path = root.join("manifest.json");
+        let manifest = match fs::read_to_string(&path) {
             Ok(text) => Manifest::from_json(&text),
-            Err(_) => Manifest::new(),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Manifest::new(),
+            Err(e) => {
+                let message = format!("reading {}: {e}", path.display());
+                return Err(DbError::Io(io::Error::new(e.kind(), message)));
+            }
         };
         Ok(Database {
             shared: Arc::new(Shared {
@@ -648,10 +382,7 @@ impl Database {
                 }),
                 stats: Mutex::new(CacheStats::default()),
                 write_lock: Mutex::new(()),
-                baselines: Mutex::new(SlotState::Empty),
-                matrix: Mutex::new(SlotState::Empty),
-                suites: Mutex::new(SlotState::Empty),
-                statics: Mutex::new(SlotState::Empty),
+                slots: Slots::new(),
             }),
         })
     }
@@ -661,108 +392,113 @@ impl Database {
         &self.shared.root
     }
 
-    /// Writes `value` as the artifact at `key` of `layout`'s namespace
-    /// and updates its manifest record. Callers hold the writer lock.
-    fn store_locked<T: serde::Serialize>(
-        &self,
-        layout: &Layout,
-        key: &str,
-        value: &T,
-    ) -> Result<(), DbError> {
-        write_json(&layout.path(self.root(), key), value)?;
-        self.shared.record_artifact(layout.ns, key, value);
-        Ok(())
+    /// Stores `value` under its key, composed with the stored entry by
+    /// the type's policy: a report merges conservatively with the stored
+    /// measurement of the same environment (§3.1: a feature stays
+    /// stubbable or fakeable only if *every* measurement agrees), a
+    /// matrix cell keeps the stored verdicts of the tiers it did not
+    /// measure, and every other type overwrites without reading.
+    /// Returns what is now stored.
+    ///
+    /// # Errors
+    ///
+    /// I/O and serialisation failures, and a corrupt stored entry.
+    pub fn put<T: Artifact>(&self, value: T) -> Result<T, DbError> {
+        let _writer = self.shared.lock_writers()?;
+        let key = value.key();
+        let value = match T::COMPOSE {
+            Some(compose) => match self.get(&key)? {
+                Some(stored) => compose(stored, value),
+                None => value,
+            },
+            None => value,
+        };
+        self.store_locked(&key, value)
     }
 
-    /// Stores a report, conservatively merging with any existing entry for
-    /// the same `(env, app, workload)`: a feature is classified stubbable
-    /// or fakeable only if *every* stored measurement agrees (§3.1).
-    /// Reports measured on a restricted execution environment are stored
-    /// under the `env/<name>/` namespace, segregated from the full-Linux
-    /// baselines the dynamic pipeline caches.
+    /// Stores `value` under its key, *replacing* the stored entry — the
+    /// path a sweep stage takes when the stored entry's recorded inputs
+    /// no longer match (composing with content produced by outdated
+    /// inputs would poison the fresh one). Returns what is now stored.
     ///
     /// # Errors
     ///
     /// I/O and serialisation failures.
-    pub fn save(&self, report: &AppReport) -> Result<(), DbError> {
+    pub fn replace<T: Artifact>(&self, value: T) -> Result<T, DbError> {
         let _writer = self.shared.lock_writers()?;
-        self.save_report_locked(report, true)
+        self.store_locked(&value.key(), value)
     }
 
-    /// Stores a report, *replacing* any existing entry instead of
-    /// merging — the path the incremental engine takes when the stored
-    /// entry's recorded inputs no longer match (merging content produced
-    /// by outdated inputs would poison the fresh measurement).
-    ///
-    /// # Errors
-    ///
-    /// I/O and serialisation failures.
-    pub fn save_replacing(&self, report: &AppReport) -> Result<(), DbError> {
-        let _writer = self.shared.lock_writers()?;
-        self.save_report_locked(report, false)
+    /// Writes `value` as the artifact at `key` and updates its manifest
+    /// record. Callers hold the writer lock.
+    fn store_locked<T: Artifact>(&self, key: &str, value: T) -> Result<T, DbError> {
+        let layout = T::layout(key);
+        write_json(&layout.path(self.root(), key), &value)?;
+        self.shared.record_artifact(layout.ns, key, &value);
+        Ok(value)
     }
 
-    fn save_report_locked(&self, report: &AppReport, merge: bool) -> Result<(), DbError> {
-        // Merge only with a stored entry of the *same* environment; a
-        // legacy mismatched entry at this path is superseded, not merged
-        // (merging a restricted-kernel trace into a baseline would
-        // poison it).
-        let existing = if merge {
-            self.load_env(&report.env, &report.app, report.workload)?
-                .filter(|existing| existing.env == report.env)
-        } else {
-            None
-        };
-        let merged = match existing {
-            Some(existing) => merge_reports(&existing, report),
-            None => report.clone(),
-        };
-        if report.env == LINUX_ENV {
-            self.store_locked(
-                &BASELINES,
-                &baseline_key(&report.app, report.workload),
-                &merged,
-            )
-        } else {
-            self.store_locked(
-                &ENV,
-                &env_key(&report.env, &report.app, report.workload),
-                &merged,
-            )
-        }
-    }
-
-    /// Loads the stored *full-Linux baseline* for `(app, workload)`, if
-    /// any. An entry at the baseline path that records a different
-    /// execution environment (written by tooling predating the
-    /// segregation) is rejected — `Ok(None)` — so it is re-measured
-    /// rather than served as a baseline.
+    /// The entry stored under `key`, if any (`None` for a key of another
+    /// shape). An entry is only served under the key its own value
+    /// derives: a restricted-environment report at a baseline path
+    /// (written by tooling predating the segregation) is not a baseline,
+    /// so it is re-measured and then superseded rather than merged.
     ///
     /// # Errors
     ///
     /// I/O failures and corrupt entries.
-    pub fn load(&self, app: &str, workload: Workload) -> Result<Option<AppReport>, DbError> {
-        Ok(self
-            .load_env(LINUX_ENV, app, workload)?
-            .filter(AppReport::is_linux_baseline))
+    pub fn get<T: Artifact>(&self, key: &str) -> Result<Option<T>, DbError> {
+        let layout = T::layout(key);
+        if !layout.fits(key) {
+            return Ok(None);
+        }
+        let value = match T::slot(&self.shared.slots) {
+            Some(slot) if layout.ns == T::LAYOUT.ns => self.point(slot, key)?,
+            _ => T::read(self.root(), key)?,
+        };
+        Ok(value.filter(|value| value.key() == key))
     }
 
-    /// Loads the stored report for `(env, app, workload)`, if any.
+    /// Every key stored in `T`'s namespace, in key order.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures.
+    pub fn keys<T: Artifact>(&self) -> Result<Vec<String>, DbError> {
+        let mut keys: Vec<String> = T::LAYOUT.keys(self.root())?.into_iter().collect();
+        keys.sort_by(|a, b| key_order(a, b));
+        Ok(keys)
+    }
+
+    /// Every entry stored in `T`'s namespace, in key order — from the
+    /// namespace's snapshot where it keeps one.
     ///
     /// # Errors
     ///
     /// I/O failures and corrupt entries.
-    pub fn load_env(
-        &self,
-        env: &str,
-        app: &str,
-        workload: Workload,
-    ) -> Result<Option<AppReport>, DbError> {
-        if env == LINUX_ENV {
-            self.point(&baseline_key(app, workload))
-        } else {
-            read_json(&ENV.path(self.root(), &env_key(env, app, workload)))
-        }
+    pub fn all<T: Artifact>(&self) -> Result<Vec<T>, DbError> {
+        self.select(|_| true)
+    }
+
+    /// The entries of `T`'s namespace that `keep` accepts, in key order.
+    fn select<T: Artifact>(&self, keep: impl Fn(&T) -> bool) -> Result<Vec<T>, DbError> {
+        let Some(slot) = T::slot(&self.shared.slots) else {
+            let mut out = Vec::new();
+            for key in self.keys::<T>()? {
+                out.extend(self.get(&key)?.filter(&keep));
+            }
+            return Ok(out);
+        };
+        let map = self.bulk(slot)?;
+        let mut entries: Vec<(&String, &T)> = map
+            .iter()
+            .filter(|(key, value)| keep(value) && value.key() == **key)
+            .collect();
+        entries.sort_by(|a, b| key_order(a.0, b.0));
+        Ok(entries
+            .into_iter()
+            .map(|(_, value)| value.clone())
+            .collect())
     }
 
     /// On-disk binary index of one namespace.
@@ -781,9 +517,9 @@ impl Database {
     /// Anything else (no snapshot, stale, key absent, malformed value)
     /// falls back to the JSON file — files written out-of-band stay
     /// visible.
-    fn point<T: Artifact>(&self, key: &str) -> Result<Option<T>, DbError> {
+    fn point<T: Artifact>(&self, slot: &SnapshotSlot<T>, key: &str) -> Result<Option<T>, DbError> {
         let namespace = T::LAYOUT.ns;
-        let mut guard = T::slot(&self.shared).lock().expect("snapshot lock");
+        let mut guard = slot.lock().expect("snapshot lock");
         let generation = self.shared.generation(namespace);
         let hit = match &*guard {
             SlotState::Decoded(g, map) if *g == generation => map.get(key).cloned(),
@@ -809,7 +545,7 @@ impl Database {
         drop(guard);
         match hit {
             Some(hit) => Ok(Some(hit)),
-            None => T::read(self, key),
+            None => T::read(self.root(), key),
         }
     }
 
@@ -817,9 +553,12 @@ impl Database {
     /// the binary disk snapshot if its content-addressed state matches,
     /// else a rebuild from the JSON tree (which also backfills the
     /// manifest and rewrites the disk snapshot).
-    fn bulk<T: Artifact>(&self) -> Result<Arc<BTreeMap<String, T>>, DbError> {
+    fn bulk<T: Artifact>(
+        &self,
+        slot: &SnapshotSlot<T>,
+    ) -> Result<Arc<BTreeMap<String, T>>, DbError> {
         let namespace = T::LAYOUT.ns;
-        let mut guard = T::slot(&self.shared).lock().expect("snapshot lock");
+        let mut guard = slot.lock().expect("snapshot lock");
         let generation = self.shared.generation(namespace);
         if let SlotState::Decoded(g, map) = &*guard {
             if *g == generation {
@@ -852,7 +591,7 @@ impl Database {
             None => {
                 let mut entries = Vec::new();
                 for key in T::LAYOUT.keys(self.root())? {
-                    if let Some(value) = T::read(self, &key)? {
+                    if let Some(value) = T::read(self.root(), &key)? {
                         entries.push((key, value));
                     }
                 }
@@ -881,56 +620,25 @@ impl Database {
     ///
     /// I/O failures and corrupt entries.
     pub fn preload(&self) -> Result<(), DbError> {
-        self.bulk::<AppReport>()?;
-        self.bulk::<MatrixCell>()?;
-        self.bulk::<ConformanceSuite>()?;
-        self.bulk::<StaticReport>()?;
+        let slots = &self.shared.slots;
+        self.bulk(&slots.baselines)?;
+        self.bulk(&slots.matrix)?;
+        self.bulk(&slots.suites)?;
+        self.bulk(&slots.statics)?;
         Ok(())
     }
 
-    /// Loads every stored report for one workload, sorted by app name —
-    /// the bulk path behind fleet-wide aggregation and reporting.
+    /// Every stored full-Linux baseline of one workload, sorted by app
+    /// name.
     ///
     /// # Errors
     ///
     /// I/O failures and corrupt entries.
     pub fn load_workload(&self, workload: Workload) -> Result<Vec<AppReport>, DbError> {
-        let map = self.bulk::<AppReport>()?;
-        let mut out: Vec<AppReport> = map
-            .values()
-            .filter(|r| r.workload == workload && r.is_linux_baseline())
-            .cloned()
-            .collect();
-        out.sort_by(|a: &AppReport, b: &AppReport| a.app.cmp(&b.app));
-        Ok(out)
+        self.select(|r: &AppReport| r.workload == workload)
     }
 
-    /// The stored keys of `layout`'s namespace, parsed by `parse` from
-    /// their `/`-separated segments and sorted.
-    fn list_keys<K: Ord>(
-        &self,
-        layout: &Layout,
-        parse: impl Fn(&[&str]) -> Option<K>,
-    ) -> Result<Vec<K>, DbError> {
-        let mut out: Vec<K> = layout
-            .keys(self.root())?
-            .iter()
-            .filter_map(|key| parse(&key.split('/').collect::<Vec<_>>()))
-            .collect();
-        out.sort();
-        Ok(out)
-    }
-
-    /// Lists `(app, workload)` pairs present in the database.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn list(&self) -> Result<Vec<(String, Workload)>, DbError> {
-        self.list_keys(&BASELINES, |k| Some((k[0].to_owned(), workload_of(k[1])?)))
-    }
-
-    /// Loads every stored report for `workload` as planner requirements.
+    /// Every stored baseline of `workload` as planner requirements.
     ///
     /// # Errors
     ///
@@ -943,226 +651,40 @@ impl Database {
             .collect())
     }
 
-    /// Stores a plan-validation verdict under
-    /// `<root>/plans/<os>/<workload>.json`, overwriting any previous
-    /// validation of the same (OS, workload) — unlike measurements,
-    /// validations are not merged: they describe one deterministic
-    /// replay of the current plan.
-    ///
-    /// # Errors
-    ///
-    /// I/O and serialisation failures.
-    pub fn save_plan_validation(&self, validation: &PlanValidation) -> Result<(), DbError> {
-        let _writer = self.shared.lock_writers()?;
-        self.store_locked(
-            &PLANS,
-            &plan_key(&validation.os, validation.workload),
-            validation,
-        )
-    }
-
-    /// Loads the stored validation for `(os, workload)`, if any.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and corrupt entries.
-    pub fn load_plan_validation(
-        &self,
-        os: &str,
-        workload: Workload,
-    ) -> Result<Option<PlanValidation>, DbError> {
-        read_json(&PLANS.path(self.root(), &plan_key(os, workload)))
-    }
-
-    /// Lists `(os, workload)` pairs with stored plan validations.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn list_plan_validations(&self) -> Result<Vec<(String, Workload)>, DbError> {
-        self.list_keys(&PLANS, |k| Some((k[0].to_owned(), workload_of(k[1])?)))
-    }
-
-    /// Stores a generated conformance suite under
-    /// `<root>/gentests/<os>/<workload>/<app>.json`, overwriting any
-    /// previous suite for the same cell — like plan validations (and
-    /// unlike measurements), suites are not merged: each one is a
-    /// deterministic compilation of the current corpus.
-    ///
-    /// # Errors
-    ///
-    /// I/O and serialisation failures.
-    pub fn save_suite(&self, suite: &ConformanceSuite) -> Result<(), DbError> {
-        let _writer = self.shared.lock_writers()?;
-        self.store_locked(
-            &SUITES,
-            &suite_key(&suite.os, &suite.app, suite.workload),
-            suite,
-        )
-    }
-
-    /// Loads the stored conformance suite for `(os, app, workload)`, if
-    /// any.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and corrupt entries.
-    pub fn load_suite(
-        &self,
-        os: &str,
-        app: &str,
-        workload: Workload,
-    ) -> Result<Option<ConformanceSuite>, DbError> {
-        self.point(&suite_key(os, app, workload))
-    }
-
-    /// Lists `(os, app, workload)` triples with stored conformance
-    /// suites.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn list_suites(&self) -> Result<Vec<(String, String, Workload)>, DbError> {
-        self.list_keys(&SUITES, |k| {
-            Some((k[0].to_owned(), k[2].to_owned(), workload_of(k[1])?))
-        })
-    }
-
-    /// Loads every stored conformance suite, sorted by `(os, app,
-    /// workload)` — the bulk path behind `docs/CONFORMANCE.md`.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and corrupt entries.
-    pub fn load_suites(&self) -> Result<Vec<ConformanceSuite>, DbError> {
-        let map = self.bulk::<ConformanceSuite>()?;
-        let mut out: Vec<ConformanceSuite> = map.values().cloned().collect();
-        out.sort_by(|a, b| (&a.os, &a.app, a.workload).cmp(&(&b.os, &b.app, b.workload)));
-        Ok(out)
-    }
-
-    /// Stores one fleet × OS compatibility-matrix cell under the
-    /// environment's namespace, `env/<os>/matrix/<app>/<workload>.json`
-    /// (the `matrix/` directory is reserved inside each environment; no
-    /// application may be called `matrix`). A stored cell for the same
-    /// key is *composed with*, not clobbered: tiers the new cell did not
-    /// measure (`None`) keep the stored verdict, so a vanilla-only sweep
-    /// followed by a planned sweep yields one complete cell.
-    ///
-    /// # Errors
-    ///
-    /// I/O and serialisation failures.
-    pub fn save_matrix_cell(&self, cell: &MatrixCell) -> Result<(), DbError> {
-        let _writer = self.shared.lock_writers()?;
-        self.save_matrix_cell_locked(cell, true)
-    }
-
-    /// Stores a matrix cell, *replacing* any stored cell instead of
-    /// composing tiers — the path taken when the stored cell's recorded
-    /// inputs no longer match (tiers measured against outdated inputs
-    /// must not survive into the fresh cell).
-    ///
-    /// # Errors
-    ///
-    /// I/O and serialisation failures.
-    pub fn save_matrix_cell_replacing(&self, cell: &MatrixCell) -> Result<(), DbError> {
-        let _writer = self.shared.lock_writers()?;
-        self.save_matrix_cell_locked(cell, false)
-    }
-
-    fn save_matrix_cell_locked(&self, cell: &MatrixCell, compose: bool) -> Result<(), DbError> {
-        let mut merged = cell.clone();
-        if compose {
-            if let Some(existing) = self.load_matrix_cell(&cell.os, &cell.app, cell.workload)? {
-                if merged.vanilla.is_none() {
-                    merged.vanilla = existing.vanilla;
-                }
-                if merged.planned.is_none() {
-                    merged.planned = existing.planned;
-                }
-            }
-        }
-        self.store_locked(
-            &MATRIX,
-            &matrix_key(&cell.os, &cell.app, cell.workload),
-            &merged,
-        )
-    }
-
-    /// Loads the stored matrix cell for `(os, app, workload)`, if any.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and corrupt entries.
-    pub fn load_matrix_cell(
-        &self,
-        os: &str,
-        app: &str,
-        workload: Workload,
-    ) -> Result<Option<MatrixCell>, DbError> {
-        self.point(&matrix_key(os, app, workload))
-    }
-
-    /// Loads every stored matrix cell, sorted by `(os, app, workload)` —
-    /// the bulk path behind matrix aggregation and `OS_MATRIX.md`.
+    /// Every stored matrix cell, sorted by `(os, app, workload)`.
     ///
     /// # Errors
     ///
     /// I/O failures and corrupt entries.
     pub fn load_matrix(&self) -> Result<Vec<MatrixCell>, DbError> {
-        let map = self.bulk::<MatrixCell>()?;
-        let mut out: Vec<MatrixCell> = map.values().cloned().collect();
-        out.sort_by(|a, b| {
-            (&a.os, &a.app, a.workload.label()).cmp(&(&b.os, &b.app, b.workload.label()))
-        });
-        Ok(out)
+        self.all()
     }
 
-    /// Stores a static-analysis report under
-    /// `<root>/static/<level>/<app>.json` — a namespace keyed by
-    /// analysis level, fully segregated from the dynamic measurements,
-    /// so a `StaticReport` can never collide with (or be served as) a
-    /// dynamic baseline. Overwrites any previous entry: static analysis
-    /// is a deterministic pure function of the app's code descriptor,
-    /// so unlike measurements there is nothing to merge.
-    ///
-    /// # Errors
-    ///
-    /// I/O and serialisation failures.
-    pub fn save_static(&self, report: &StaticReport) -> Result<(), DbError> {
-        let _writer = self.shared.lock_writers()?;
-        self.store_locked(&STATIC, &static_key(report.level, &report.app), report)
-    }
-
-    /// Loads the stored static report for `(level, app)`, if any.
+    /// Every stored conformance suite, sorted by `(os, workload, app)`.
     ///
     /// # Errors
     ///
     /// I/O failures and corrupt entries.
-    pub fn load_static(&self, level: Level, app: &str) -> Result<Option<StaticReport>, DbError> {
-        self.point(&static_key(level, app))
+    pub fn load_suites(&self) -> Result<Vec<ConformanceSuite>, DbError> {
+        self.all()
     }
 
-    /// Loads every stored static report of one level, sorted by app name.
+    /// Every stored static report of one level, sorted by app name.
     ///
     /// # Errors
     ///
     /// I/O failures and corrupt entries.
     pub fn load_static_level(&self, level: Level) -> Result<Vec<StaticReport>, DbError> {
-        let map = self.bulk::<StaticReport>()?;
-        let mut out: Vec<StaticReport> =
-            map.values().filter(|r| r.level == level).cloned().collect();
-        out.sort_by(|a, b| a.app.cmp(&b.app));
-        Ok(out)
+        self.select(|r: &StaticReport| r.level == level)
     }
 
-    /// Lists `(level, app)` pairs with stored static reports.
+    /// Stores a matrix cell, replacing any stored one.
     ///
     /// # Errors
     ///
-    /// I/O failures.
-    pub fn list_static(&self) -> Result<Vec<(Level, String)>, DbError> {
-        self.list_keys(&STATIC, |k| Some((level_of(k[0])?, k[1].to_owned())))
+    /// I/O and serialisation failures.
+    pub fn save_matrix_cell_replacing(&self, cell: &MatrixCell) -> Result<(), DbError> {
+        self.replace(cell.clone()).map(drop)
     }
 
     /// Writes an OS support spec in CSV form under `<root>/os/<name>.csv`.
@@ -1455,6 +977,7 @@ fn merge_impact(a: Option<Impact>, b: Option<Impact>) -> Option<Impact> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{BASELINES, ENV, MATRIX, PLANS, STATIC, SUITES};
     use loupe_apps::registry;
     use loupe_core::{AnalysisConfig, Engine, ImpactRecord};
     use std::collections::BTreeMap;
@@ -1472,63 +995,235 @@ mod tests {
             .unwrap()
     }
 
+    /// One namespace's row of the table: `first` and `second` share a
+    /// key, and `composed` is what `put(second)` stores over `first`.
+    /// Returns the key.
+    fn put_get_replace<T: Artifact + PartialEq + fmt::Debug>(
+        db: &Database,
+        first: T,
+        second: T,
+        composed: T,
+    ) -> String {
+        let key = first.key();
+        assert_eq!(second.key(), key);
+        assert_eq!(
+            db.get::<T>(&key).unwrap(),
+            None,
+            "{key}: nothing stored yet"
+        );
+        assert_eq!(db.put(first.clone()).unwrap(), first, "{key}: first put");
+        assert_eq!(db.get::<T>(&key).unwrap().as_ref(), Some(&first));
+        assert_eq!(db.put(second.clone()).unwrap(), composed, "{key}: policy");
+        assert_eq!(db.get::<T>(&key).unwrap().as_ref(), Some(&composed));
+        assert_eq!(db.replace(second.clone()).unwrap(), second, "{key}");
+        assert_eq!(db.get::<T>(&key).unwrap().as_ref(), Some(&second));
+        key
+    }
+
+    /// `T`'s namespace lists exactly `value`, under its key.
+    fn lists_only<T: Artifact + PartialEq + fmt::Debug>(db: &Database, value: &T) {
+        assert_eq!(db.keys::<T>().unwrap(), vec![value.key()]);
+        assert_eq!(db.all::<T>().unwrap(), vec![value.clone()]);
+    }
+
+    /// A baseline report stored alongside another namespace's entries,
+    /// so each namespace test can check both directions of segregation.
+    fn db_with_baseline(tag: &str) -> (PathBuf, Database, AppReport) {
+        let dir = tmpdir(tag);
+        let db = Database::open(&dir).unwrap();
+        let baseline = sample_report();
+        db.put(baseline.clone()).unwrap();
+        (dir, db, baseline)
+    }
+
     #[test]
     fn save_load_roundtrip() {
         let dir = tmpdir("roundtrip");
         let db = Database::open(&dir).unwrap();
-        let report = sample_report();
-        db.save(&report).unwrap();
-        let back = db
-            .load(&report.app, Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, report);
-        assert_eq!(db.list().unwrap().len(), 1);
+
+        // Reports: `put` merges conservatively, `replace` overwrites; a
+        // restricted-environment report is keyed by its environment.
+        let baseline = sample_report();
+        let merged = merge_reports(&baseline, &baseline);
+        let key = put_get_replace(&db, baseline.clone(), baseline.clone(), merged);
+        assert_eq!(key, "hello-musl-static/health");
+        let restricted = AppReport {
+            env: "kerla-step3".into(),
+            ..sample_report()
+        };
+        let merged = merge_reports(&restricted, &restricted);
+        let key = put_get_replace(&db, restricted.clone(), restricted.clone(), merged);
+        assert_eq!(key, "kerla-step3/hello-musl-static/health");
+
+        // The restricted report is no baseline.
+        lists_only(&db, &baseline);
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn suite_namespace_roundtrips_and_stays_segregated() {
-        let dir = tmpdir("suites");
-        let db = Database::open(&dir).unwrap();
-        let report = sample_report();
-        db.save(&report).unwrap();
+        let (dir, db, baseline) = db_with_baseline("suites");
 
+        // Suites overwrite: a suite is a deterministic compilation.
         let spec = loupe_plan::os::find("kerla").unwrap();
-        let suite = ConformanceSuite::generate(&spec, &report, None);
-        db.save_suite(&suite).unwrap();
+        let suite = ConformanceSuite::generate(&spec, &baseline, None);
+        let mut shorter = suite.clone();
+        shorter.cases.truncate(1);
+        put_get_replace(&db, suite, shorter.clone(), shorter.clone());
 
-        // Roundtrip is exact; overwriting replaces rather than merges.
-        let back = db
-            .load_suite("kerla", &report.app, Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, suite);
-        let mut rewritten = suite.clone();
-        rewritten.cases.truncate(1);
-        db.save_suite(&rewritten).unwrap();
-        let back = db
-            .load_suite("kerla", &report.app, Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, rewritten, "suites overwrite, not merge");
-
-        // The gentests namespace is invisible to the baseline listing,
-        // and the bulk loaders see exactly the stored triples.
-        assert_eq!(db.list().unwrap().len(), 1);
+        lists_only(&db, &shorter);
+        lists_only(&db, &baseline);
         assert_eq!(
-            db.list_suites().unwrap(),
-            vec![(
-                "kerla".to_owned(),
-                report.app.clone(),
-                Workload::HealthCheck
-            )]
+            db.get::<ConformanceSuite>(&suite_key("gvisor", &baseline.app, Workload::HealthCheck))
+                .unwrap(),
+            None
         );
-        assert_eq!(db.load_suites().unwrap(), vec![rewritten]);
-        assert!(db
-            .load_suite("gvisor", &report.app, Workload::HealthCheck)
-            .unwrap()
-            .is_none());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn plan_validation_roundtrip_and_listing() {
+        use loupe_plan::{InitialVerdict, PlanValidation, StepVerdict, SupportPlan};
+        let (dir, db, baseline) = db_with_baseline("plans");
+        assert!(db.keys::<PlanValidation>().unwrap().is_empty());
+
+        // Validations overwrite: one deterministic replay.
+        let validation = PlanValidation {
+            os: "kerla".into(),
+            workload: Workload::HealthCheck,
+            plan: SupportPlan {
+                os: "kerla".into(),
+                initially_supported: vec!["hello".into()],
+                steps: vec![],
+            },
+            initial: vec![InitialVerdict {
+                app: "hello".into(),
+                passes: true,
+            }],
+            steps: vec![StepVerdict {
+                index: 1,
+                app: "redis".into(),
+                unlocked: true,
+                locked_before: Some(true),
+            }],
+        };
+        let mut relocked = validation.clone();
+        relocked.steps[0].unlocked = false;
+        let key = put_get_replace(&db, validation, relocked.clone(), relocked.clone());
+        assert_eq!(key, "kerla/health");
+
+        lists_only(&db, &relocked);
+        lists_only(&db, &baseline);
+        assert_eq!(
+            db.get::<PlanValidation>(&plan_key("kerla", Workload::Benchmark))
+                .unwrap(),
+            None
+        );
+        // A key of another namespace's shape is simply absent.
+        assert_eq!(
+            db.get::<PlanValidation>("kerla/redis/health").unwrap(),
+            None
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn static_reports_live_in_their_own_level_keyed_namespace() {
+        use loupe_static::{BinaryAnalyzer, SourceAnalyzer, StaticAnalyzer};
+        let (dir, db, baseline) = db_with_baseline("static");
+
+        // Static reports overwrite: analysis is a pure function.
+        let redis = registry::find("redis").unwrap();
+        let l0 = BinaryAnalyzer::new().analyze(redis.as_ref());
+        let emptied = StaticReport {
+            syscalls: loupe_syscalls::SysnoSet::new(),
+            ..l0.clone()
+        };
+        let key = put_get_replace(&db, l0, emptied.clone(), emptied.clone());
+        assert_eq!(key, static_key(Level::L0, "redis"));
+        lists_only(&db, &emptied);
+
+        // Levels do not collide with each other…
+        let l3 = SourceAnalyzer::new().analyze(redis.as_ref());
+        db.put(l3.clone()).unwrap();
+        assert_eq!(
+            db.get::<StaticReport>(&static_key(Level::L0, "redis"))
+                .unwrap(),
+            Some(emptied.clone())
+        );
+        assert_eq!(db.load_static_level(Level::L3).unwrap(), vec![l3.clone()]);
+        assert_eq!(
+            db.keys::<StaticReport>().unwrap(),
+            vec![emptied.key(), l3.key()]
+        );
+        // …nor with the dynamic namespace.
+        lists_only(&db, &baseline);
+        assert_eq!(
+            db.get::<AppReport>(&baseline_key("redis", Workload::HealthCheck))
+                .unwrap(),
+            None
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn matrix_cells_roundtrip_compose_and_stay_segregated() {
+        use loupe_plan::TierOutcome;
+        let (dir, db, baseline) = db_with_baseline("matrix");
+        assert!(db.load_matrix().unwrap().is_empty());
+
+        // Matrix cells: `put` keeps the stored tiers the new cell did
+        // not measure.
+        let vanilla_only = MatrixCell {
+            os: "kerla".into(),
+            app: "redis".into(),
+            workload: Workload::HealthCheck,
+            linux_pass: true,
+            missing_required: [loupe_syscalls::Sysno::futex].into_iter().collect(),
+            vanilla: Some(TierOutcome {
+                pass: false,
+                rejections: [(loupe_syscalls::Sysno::futex, 3)].into_iter().collect(),
+                first_rejection: Some(loupe_syscalls::Sysno::futex),
+                ..TierOutcome::default()
+            }),
+            planned: None,
+            missing_required_flags: Vec::new(),
+        };
+        let planned_only = MatrixCell {
+            vanilla: None,
+            planned: Some(TierOutcome {
+                pass: true,
+                ..TierOutcome::default()
+            }),
+            ..vanilla_only.clone()
+        };
+        let both = MatrixCell {
+            vanilla: vanilla_only.vanilla.clone(),
+            ..planned_only.clone()
+        };
+        put_get_replace(&db, vanilla_only, planned_only.clone(), both);
+
+        // The cell under `env/kerla/` is no restricted report, and the
+        // baseline namespace sees only its own entry.
+        lists_only(&db, &planned_only);
+        lists_only(&db, &baseline);
+        assert_eq!(db.get::<AppReport>("kerla/redis/health").unwrap(), None);
+        assert_eq!(
+            db.get::<MatrixCell>(&matrix_key("kerla", "redis", Workload::Benchmark))
+                .unwrap(),
+            None
+        );
+        // A key of another namespace's shape is simply absent.
+        assert_eq!(db.get::<MatrixCell>("kerla/health").unwrap(), None);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unreadable_manifest_fails_open_naming_it() {
+        let dir = tmpdir("manifest-dir");
+        fs::create_dir_all(dir.join("manifest.json")).unwrap();
+        let err = Database::open(&dir).unwrap_err().to_string();
+        assert!(err.contains("manifest.json"), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1631,10 +1326,10 @@ mod tests {
         let dir = tmpdir("merge");
         let db = Database::open(&dir).unwrap();
         let report = sample_report();
-        db.save(&report).unwrap();
-        db.save(&report).unwrap();
+        db.put(report.clone()).unwrap();
+        db.put(report.clone()).unwrap();
         let back = db
-            .load(&report.app, Workload::HealthCheck)
+            .get::<AppReport>(&baseline_key(&report.app, Workload::HealthCheck))
             .unwrap()
             .unwrap();
         let first = *report.traced.keys().next().unwrap();
@@ -1655,76 +1350,27 @@ mod tests {
     }
 
     #[test]
-    fn plan_validation_roundtrip_and_listing() {
-        use loupe_plan::{InitialVerdict, StepVerdict, SupportPlan};
-        let dir = tmpdir("plans");
-        let db = Database::open(&dir).unwrap();
-        assert!(db.list_plan_validations().unwrap().is_empty());
-        let validation = PlanValidation {
-            os: "kerla".into(),
-            workload: Workload::HealthCheck,
-            plan: SupportPlan {
-                os: "kerla".into(),
-                initially_supported: vec!["hello".into()],
-                steps: vec![],
-            },
-            initial: vec![InitialVerdict {
-                app: "hello".into(),
-                passes: true,
-            }],
-            steps: vec![StepVerdict {
-                index: 1,
-                app: "redis".into(),
-                unlocked: true,
-                locked_before: Some(true),
-            }],
-        };
-        db.save_plan_validation(&validation).unwrap();
-        let back = db
-            .load_plan_validation("kerla", Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, validation);
-        assert_eq!(
-            db.list_plan_validations().unwrap(),
-            vec![("kerla".to_owned(), Workload::HealthCheck)]
-        );
-        assert!(db
-            .load_plan_validation("kerla", Workload::Benchmark)
-            .unwrap()
-            .is_none());
-        // Validations live outside the measurement namespace.
-        assert!(db.list().unwrap().is_empty());
-        // Re-saving overwrites (no merge): one deterministic replay.
-        let mut second = validation.clone();
-        second.steps[0].unlocked = false;
-        db.save_plan_validation(&second).unwrap();
-        let back = db
-            .load_plan_validation("kerla", Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, second);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn restricted_env_reports_are_segregated_from_baselines() {
         let dir = tmpdir("env-seg");
         let db = Database::open(&dir).unwrap();
         let mut restricted = sample_report();
         restricted.env = "kerla-step3".into();
-        db.save(&restricted).unwrap();
+        db.put(restricted.clone()).unwrap();
 
         // The dynamic (baseline) path must not see it: the cache key now
         // includes the execution environment.
         assert!(db
-            .load(&restricted.app, Workload::HealthCheck)
+            .get::<AppReport>(&baseline_key(&restricted.app, Workload::HealthCheck))
             .unwrap()
             .is_none());
-        assert!(db.list().unwrap().is_empty());
+        assert!(db.keys::<AppReport>().unwrap().is_empty());
         // But the segregated namespace holds it.
         let back = db
-            .load_env("kerla-step3", &restricted.app, Workload::HealthCheck)
+            .get::<AppReport>(&env_key(
+                "kerla-step3",
+                &restricted.app,
+                Workload::HealthCheck,
+            ))
             .unwrap()
             .unwrap();
         assert_eq!(back, restricted);
@@ -1732,9 +1378,9 @@ mod tests {
         // Saving the Linux baseline afterwards does not merge with the
         // restricted entry: both coexist, each under its own key.
         let baseline = sample_report();
-        db.save(&baseline).unwrap();
+        db.put(baseline.clone()).unwrap();
         let served = db
-            .load(&baseline.app, Workload::HealthCheck)
+            .get::<AppReport>(&baseline_key(&baseline.app, Workload::HealthCheck))
             .unwrap()
             .unwrap();
         assert_eq!(served, baseline, "baseline unpolluted by restricted run");
@@ -1755,14 +1401,17 @@ mod tests {
         fs::write(&path, serde_json::to_string(&stale).unwrap()).unwrap();
 
         assert!(
-            db.load(&stale.app, Workload::HealthCheck)
+            db.get::<AppReport>(&baseline_key(&stale.app, Workload::HealthCheck))
                 .unwrap()
                 .is_none(),
             "restricted entry must not be served as a Linux baseline"
         );
         let fresh = sample_report();
-        db.save(&fresh).unwrap();
-        let served = db.load(&fresh.app, Workload::HealthCheck).unwrap().unwrap();
+        db.put(fresh.clone()).unwrap();
+        let served = db
+            .get::<AppReport>(&baseline_key(&fresh.app, Workload::HealthCheck))
+            .unwrap()
+            .unwrap();
         assert_eq!(
             served, fresh,
             "fresh baseline overwrites the stale entry instead of merging"
@@ -1794,132 +1443,25 @@ mod tests {
 
         let db = Database::open(&dir).unwrap();
         assert_eq!(
-            db.list_static().unwrap(),
+            db.keys::<StaticReport>().unwrap(),
             vec![
-                (Level::L0, "nginx".to_owned()),
-                (Level::L0, "redis".to_owned()),
-                (Level::L3, "redis".to_owned())
+                static_key(Level::L0, "nginx"),
+                static_key(Level::L0, "redis"),
+                static_key(Level::L3, "redis")
             ]
         );
         assert_eq!(
-            db.load_static(Level::L0, "redis").unwrap(),
+            db.get(&static_key(Level::L0, "redis")).unwrap(),
             Some(legacy_l0.clone())
         );
-        assert_eq!(db.load_static(Level::L3, "redis").unwrap(), Some(legacy_l3));
+        assert_eq!(
+            db.get(&static_key(Level::L3, "redis")).unwrap(),
+            Some(legacy_l3)
+        );
         assert_eq!(
             db.load_static_level(Level::L0).unwrap(),
             vec![ladder, legacy_l0]
         );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn static_reports_live_in_their_own_level_keyed_namespace() {
-        use loupe_static::{BinaryAnalyzer, SourceAnalyzer, StaticAnalyzer};
-        let dir = tmpdir("static");
-        let db = Database::open(&dir).unwrap();
-        let app = registry::find("redis").unwrap();
-        let bin = BinaryAnalyzer::new().analyze(app.as_ref());
-        let src = SourceAnalyzer::new().analyze(app.as_ref());
-        db.save_static(&bin).unwrap();
-        db.save_static(&src).unwrap();
-
-        // Levels do not collide with each other…
-        assert_eq!(
-            db.load_static(Level::Binary, "redis").unwrap().unwrap(),
-            bin
-        );
-        assert_eq!(
-            db.load_static(Level::Source, "redis").unwrap().unwrap(),
-            src
-        );
-        assert!(db.load_static(Level::Binary, "ghost").unwrap().is_none());
-        assert_eq!(
-            db.list_static().unwrap(),
-            vec![
-                (Level::Binary, "redis".to_owned()),
-                (Level::Source, "redis".to_owned())
-            ]
-        );
-        assert_eq!(db.load_static_level(Level::Source).unwrap(), vec![src]);
-        // …nor with the dynamic namespace: no measurement entries exist.
-        assert!(db.list().unwrap().is_empty());
-        assert!(db.load("redis", Workload::HealthCheck).unwrap().is_none());
-
-        // Re-saving overwrites (pure function, no merge).
-        let mut altered = bin.clone();
-        altered.syscalls = loupe_syscalls::SysnoSet::new();
-        db.save_static(&altered).unwrap();
-        assert_eq!(
-            db.load_static(Level::Binary, "redis").unwrap().unwrap(),
-            altered
-        );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn matrix_cells_roundtrip_compose_and_stay_segregated() {
-        use loupe_plan::{MatrixCell, TierOutcome};
-        let dir = tmpdir("matrix");
-        let db = Database::open(&dir).unwrap();
-        assert!(db.load_matrix().unwrap().is_empty());
-
-        let vanilla_only = MatrixCell {
-            os: "kerla".into(),
-            app: "redis".into(),
-            workload: Workload::HealthCheck,
-            linux_pass: true,
-            missing_required: [loupe_syscalls::Sysno::futex].into_iter().collect(),
-            vanilla: Some(TierOutcome {
-                pass: false,
-                rejections: [(loupe_syscalls::Sysno::futex, 3)].into_iter().collect(),
-                fake_hits: BTreeMap::new(),
-                first_rejection: Some(loupe_syscalls::Sysno::futex),
-                flag_rejections: Vec::new(),
-                flag_fake_hits: Vec::new(),
-                first_rejected_flag: None,
-            }),
-            planned: None,
-            missing_required_flags: Vec::new(),
-        };
-        db.save_matrix_cell(&vanilla_only).unwrap();
-        let back = db
-            .load_matrix_cell("kerla", "redis", Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, vanilla_only);
-
-        // A later planned-tier measurement composes with the stored
-        // vanilla verdict instead of clobbering it.
-        let planned_only = MatrixCell {
-            vanilla: None,
-            planned: Some(TierOutcome {
-                pass: true,
-                ..TierOutcome::default()
-            }),
-            ..vanilla_only.clone()
-        };
-        db.save_matrix_cell(&planned_only).unwrap();
-        let composed = db
-            .load_matrix_cell("kerla", "redis", Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
-        assert_eq!(composed.vanilla, vanilla_only.vanilla, "vanilla kept");
-        assert_eq!(composed.planned, planned_only.planned, "planned added");
-
-        // Bulk load sees the cell; the measurement namespaces (baseline
-        // and env) do not.
-        assert_eq!(db.load_matrix().unwrap(), vec![composed]);
-        assert!(db.list().unwrap().is_empty());
-        assert!(db.load("redis", Workload::HealthCheck).unwrap().is_none());
-        assert!(db
-            .load_env("kerla", "redis", Workload::HealthCheck)
-            .unwrap()
-            .is_none());
-        assert!(db
-            .load_matrix_cell("kerla", "redis", Workload::Benchmark)
-            .unwrap()
-            .is_none());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1930,7 +1472,7 @@ mod tests {
         let db = Database::open(&dir).unwrap();
         let mut restricted = sample_report();
         restricted.env = "kerla".into();
-        db.save(&restricted).unwrap();
+        db.put(restricted.clone()).unwrap();
         let cell = MatrixCell {
             os: "kerla".into(),
             app: restricted.app.clone(),
@@ -1941,10 +1483,10 @@ mod tests {
             planned: None,
             missing_required_flags: Vec::new(),
         };
-        db.save_matrix_cell(&cell).unwrap();
+        db.put(cell.clone()).unwrap();
         // Both live under env/kerla/ without shadowing each other.
         assert!(db
-            .load_env("kerla", &restricted.app, Workload::HealthCheck)
+            .get::<AppReport>(&env_key("kerla", &restricted.app, Workload::HealthCheck))
             .unwrap()
             .is_some());
         assert_eq!(db.load_matrix().unwrap(), vec![cell]);
@@ -1955,7 +1497,10 @@ mod tests {
     fn missing_entry_is_none() {
         let dir = tmpdir("missing");
         let db = Database::open(&dir).unwrap();
-        assert!(db.load("ghost", Workload::Benchmark).unwrap().is_none());
+        assert!(db
+            .get::<AppReport>(&baseline_key("ghost", Workload::Benchmark))
+            .unwrap()
+            .is_none());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1977,7 +1522,7 @@ mod tests {
 
         // A raw save records the output but no provenance — the artifact
         // exists, yet is not current until a stage attaches inputs.
-        db.save(&report).unwrap();
+        db.put(report.clone()).unwrap();
         let output = db.recorded_output(ns::BASELINES, &key).unwrap();
         assert_eq!(output, fingerprint_of(&report));
         assert_eq!(
@@ -2005,7 +1550,7 @@ mod tests {
 
         // A subsequent save changes the content (merge doubles counts),
         // so the provenance is wiped until re-attached.
-        db.save(&report).unwrap();
+        db.put(report.clone()).unwrap();
         assert_eq!(
             db.provenance(ns::BASELINES, &key, &inputs),
             Provenance::Outdated
@@ -2028,7 +1573,10 @@ mod tests {
             db.provenance(ns::BASELINES, &key, &inputs),
             Provenance::Outdated
         );
-        assert!(db.load(&report.app, report.workload).unwrap().is_some());
+        assert!(db
+            .get::<AppReport>(&baseline_key(&report.app, report.workload))
+            .unwrap()
+            .is_some());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2055,7 +1603,7 @@ mod tests {
     #[test]
     fn concurrent_tier_saves_do_not_drop_a_tier() {
         use loupe_plan::{MatrixCell, TierOutcome};
-        // Regression: save_matrix_cell composes read-modify-write; two
+        // Regression: putting a matrix cell composes read-modify-write; two
         // concurrent single-tier saves used to be able to interleave so
         // the second read missed the first write, dropping a tier.
         let dir = tmpdir("race");
@@ -2088,12 +1636,16 @@ mod tests {
                 ..base.clone()
             };
             let (db1, db2) = (db.clone(), db.clone());
-            let t1 = std::thread::spawn(move || db1.save_matrix_cell(&vanilla).unwrap());
-            let t2 = std::thread::spawn(move || db2.save_matrix_cell(&planned).unwrap());
+            let t1 = std::thread::spawn(move || db1.put(vanilla).unwrap());
+            let t2 = std::thread::spawn(move || db2.put(planned).unwrap());
             t1.join().unwrap();
             t2.join().unwrap();
             let cell = db
-                .load_matrix_cell("kerla", &format!("redis{round}"), Workload::HealthCheck)
+                .get::<MatrixCell>(&matrix_key(
+                    "kerla",
+                    &format!("redis{round}"),
+                    Workload::HealthCheck,
+                ))
                 .unwrap()
                 .unwrap();
             assert!(cell.vanilla.is_some(), "vanilla tier lost in round {round}");
@@ -2108,7 +1660,7 @@ mod tests {
         let dir = tmpdir("lazypoint");
         let db = Database::open(&dir).unwrap();
         for app in ["alpha", "beta"] {
-            db.save_matrix_cell(&MatrixCell {
+            db.put(MatrixCell {
                 os: "kerla".into(),
                 app: app.into(),
                 workload: Workload::HealthCheck,
@@ -2140,13 +1692,13 @@ mod tests {
         .unwrap();
         let db = Database::open(&dir).unwrap();
         let cell = db
-            .load_matrix_cell("kerla", "alpha", Workload::HealthCheck)
+            .get::<MatrixCell>(&matrix_key("kerla", "alpha", Workload::HealthCheck))
             .unwrap()
             .expect("point read served from the mapped index");
         assert_eq!(cell.app, "alpha");
         // A key the index does not hold falls back to JSON (absent).
         assert!(db
-            .load_matrix_cell("kerla", "gamma", Workload::HealthCheck)
+            .get::<MatrixCell>(&matrix_key("kerla", "gamma", Workload::HealthCheck))
             .unwrap()
             .is_none());
         fs::remove_dir_all(&dir).ok();
@@ -2172,8 +1724,7 @@ mod tests {
                 planned: None,
                 missing_required_flags: Vec::new(),
             };
-            db.save_matrix_cell(&cell).unwrap();
-            cells.push(cell);
+            cells.push(db.put(cell).unwrap());
         }
         let loaded = db.load_matrix().unwrap();
         assert_eq!(loaded, cells);

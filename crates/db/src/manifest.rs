@@ -16,9 +16,11 @@
 //! database root; if it is missing, corrupt, or from a different format
 //! version it is treated as empty and the engine degrades to re-measuring
 //! (never to serving stale artifacts): an artifact without provenance is
-//! *not* current. Raw `Database::save_*` writes reset the record's inputs
-//! for the same reason — content that did not come through a sweep stage
-//! has unknown provenance until the stage re-attaches it.
+//! *not* current. (One that exists but cannot be read fails
+//! `Database::open` instead.) Raw `Database::put`/`replace` writes reset
+//! the record's inputs for the same reason — content that did not come
+//! through a sweep stage has unknown provenance until the stage
+//! re-attaches it.
 
 use std::collections::BTreeMap;
 

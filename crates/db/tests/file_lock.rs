@@ -12,7 +12,7 @@ use std::process::Command;
 use std::time::{Duration, Instant};
 
 use loupe_apps::Workload;
-use loupe_db::Database;
+use loupe_db::{matrix_key, Database};
 use loupe_plan::{MatrixCell, TierOutcome};
 use loupe_syscalls::SysnoSet;
 
@@ -43,7 +43,7 @@ fn cell(app: usize, vanilla: bool) -> MatrixCell {
 fn hammer(db: &Database, vanilla: bool) {
     for _ in 0..ROUNDS {
         for app in 0..APPS {
-            db.save_matrix_cell(&cell(app, vanilla)).expect("save cell");
+            db.put(cell(app, vanilla)).expect("save cell");
         }
     }
 }
@@ -93,8 +93,9 @@ fn concurrent_processes_never_drop_a_tier() {
     // dropped one would leave a one-tier cell behind.
     let db = Database::open(&dir).expect("verify open");
     for app in 0..APPS {
+        let key = matrix_key("locktest", &format!("app-{app:02}"), Workload::HealthCheck);
         let stored = db
-            .load_matrix_cell("locktest", &format!("app-{app:02}"), Workload::HealthCheck)
+            .get::<MatrixCell>(&key)
             .expect("load cell")
             .unwrap_or_else(|| panic!("cell app-{app:02} missing"));
         assert!(

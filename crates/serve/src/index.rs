@@ -361,15 +361,6 @@ impl ServeIndex {
             .unwrap_or_default())
     }
 
-    /// Forces the lazy analytics build (the `--eager` startup path).
-    ///
-    /// # Errors
-    ///
-    /// Database errors reading the baselines namespace.
-    pub fn warm_analytics(&self) -> Result<(), String> {
-        self.analytics().map(|_| ())
-    }
-
     /// Answers a protocol request straight from this index — the
     /// daemon-free resolution path `loupe query --offline` uses, and
     /// exactly what the daemon computes for each command (the daemon

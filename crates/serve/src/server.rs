@@ -61,9 +61,6 @@ pub struct ServeConfig {
     /// Database poll interval for the generation watcher; zero
     /// disables watching.
     pub watch_interval: Duration,
-    /// Build the lazy analytics (plans, inverted syscall index) at
-    /// startup instead of on first touch.
-    pub eager: bool,
 }
 
 impl Default for ServeConfig {
@@ -73,20 +70,21 @@ impl Default for ServeConfig {
             threads: 1024,
             batch_window: Duration::from_micros(50),
             watch_interval: Duration::from_millis(200),
-            eager: false,
         }
     }
 }
 
-/// FNV-1a over the manifest bytes: the database-change signal. The
-/// manifest is rewritten (atomically) on every flush that changed
-/// anything, so its bytes fingerprint the database state.
-fn manifest_fingerprint(root: &Path) -> u64 {
-    let Ok(bytes) = std::fs::read(root.join("manifest.json")) else {
-        return 0;
-    };
+/// The manifest's bytes (empty when unreadable): the database-change
+/// signal. The manifest is rewritten (atomically) on every flush that
+/// changed anything, so its bytes fingerprint the database state.
+fn manifest_bytes(root: &Path) -> Vec<u8> {
+    std::fs::read(root.join("manifest.json")).unwrap_or_default()
+}
+
+/// FNV-1a over [`manifest_bytes`].
+fn fingerprint(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &bytes {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -99,7 +97,6 @@ struct Shared {
     index: RwLock<Arc<ServeIndex>>,
     batcher: Batcher,
     batching: bool,
-    eager: bool,
     shutdown: AtomicBool,
     requests: AtomicU64,
     rebuilds: AtomicU64,
@@ -120,10 +117,6 @@ impl Shared {
         let generation = self.snapshot().generation() + 1;
         let db = Database::open(&self.root)?;
         let next = Arc::new(ServeIndex::build(db, generation)?);
-        if self.eager {
-            next.warm_analytics()
-                .map_err(|e| ServeError::Io(io::Error::other(e)))?;
-        }
         *self.index.write().expect("index lock") = next;
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -219,13 +212,13 @@ impl Server {
     /// Bind failures and database errors.
     pub fn start(root: impl AsRef<Path>, cfg: ServeConfig) -> Result<Server, ServeError> {
         let root = root.as_ref().to_path_buf();
+        // Read before the first generation opens the database, so a
+        // change landing while it builds (or before the watcher thread
+        // runs) triggers a rebuild instead of going unnoticed. The
+        // watcher hashes it, off the startup path.
+        let manifest = manifest_bytes(&root);
         let db = Database::open(&root)?;
         let index = ServeIndex::build(db, 0)?;
-        if cfg.eager {
-            index
-                .warm_analytics()
-                .map_err(|e| ServeError::Io(io::Error::other(e)))?;
-        }
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -233,7 +226,6 @@ impl Server {
             index: RwLock::new(Arc::new(index)),
             batcher: Batcher::new(cfg.batch_window),
             batching: !cfg.batch_window.is_zero(),
-            eager: cfg.eager,
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
@@ -297,10 +289,11 @@ impl Server {
         if !cfg.watch_interval.is_zero() {
             let shared = Arc::clone(&shared);
             threads.push(std::thread::spawn(move || {
-                let mut last = manifest_fingerprint(&shared.root);
+                let mut last = fingerprint(&manifest);
+                drop(manifest);
                 while !shared.shutdown.load(Ordering::Acquire) {
                     std::thread::sleep(cfg.watch_interval);
-                    let current = manifest_fingerprint(&shared.root);
+                    let current = fingerprint(&manifest_bytes(&shared.root));
                     if current != last {
                         // Rebuild failures (e.g. a writer mid-flight)
                         // leave the previous generation serving; the

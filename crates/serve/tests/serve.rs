@@ -438,3 +438,23 @@ fn database_edits_swap_whole_generations_never_torn() {
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn deeply_nested_request_is_refused_without_killing_the_daemon() {
+    let dir = tmpdir("nesting");
+    let server = start(&dir, ServeConfig::default());
+    // Connection threads run on small stacks: 300 nested arrays used to
+    // overflow one and abort the whole process. At the parser's depth
+    // limit the request is well-formed JSON but no request.
+    for (depth, reason) in [(300, "nesting deeper than 128"), (128, "malformed request")] {
+        let payload = "[".repeat(depth) + &"]".repeat(depth);
+        let answer = connect(server.local_addr()).request_raw(&payload).unwrap();
+        let response: loupe_serve::Response = serde_json::from_str(&answer).unwrap();
+        assert!(!response.ok, "depth {depth}");
+        let error = response.error.unwrap_or_default();
+        assert!(error.contains(reason), "depth {depth}: {error}");
+    }
+    assert_eq!(connect(server.local_addr()).ping().unwrap(), 0);
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -289,9 +289,10 @@ impl Stage for Suites<'_> {
     fn derive(&self, db: &Database, &(os, r, _): &Self::Job, _: &Provenance) -> Fresh<Self> {
         let (os, report) = (&self.oses[os], &self.reports[r]);
         let (app, workload) = (&report.app, report.workload);
-        let cell = db.load_matrix_cell(&os.name, app, workload)?;
+        let cell = db.get(&loupe_db::matrix_key(&os.name, app, workload))?;
         let fresh = ConformanceSuite::generate(os, report, cell.as_ref());
-        let unchanged = db.load_suite(&os.name, app, workload)?.as_ref() == Some(&fresh);
+        let key = loupe_db::suite_key(&os.name, app, workload);
+        let unchanged = db.get(&key)?.as_ref() == Some(&fresh);
         let out = SuiteCell {
             cases: fresh.cases.len(),
             vanilla_pass: fresh.verdict(os, Tier::Vanilla),
@@ -299,7 +300,7 @@ impl Stage for Suites<'_> {
             disagreements: fresh.disagreements(os),
         };
         if !self.check && !unchanged {
-            db.save_suite(&fresh)?;
+            db.put(fresh)?;
         }
         let meta = (!self.check).then(|| {
             Meta::from([
@@ -374,7 +375,11 @@ mod tests {
             assert!(row.vanilla_pass <= row.planned_pass, "{row:?}");
         }
         let stored = db
-            .load_suite("kerla", "redis", Workload::HealthCheck)
+            .get::<ConformanceSuite>(&loupe_db::suite_key(
+                "kerla",
+                "redis",
+                Workload::HealthCheck,
+            ))
             .unwrap()
             .expect("suite persisted");
         assert!(stored.expected.vanilla.is_some(), "verdicts carried");
@@ -401,12 +406,10 @@ mod tests {
 
         sweep_gentests(&db, apps(), &small_cfg(oses.clone(), 1)).unwrap();
         // Tamper with one stored suite.
-        let mut broken = db
-            .load_suite("kerla", apps()[0].name(), Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
+        let key = loupe_db::suite_key("kerla", apps()[0].name(), Workload::HealthCheck);
+        let mut broken: ConformanceSuite = db.get(&key).unwrap().unwrap();
         broken.cases.pop();
-        db.save_suite(&broken).unwrap();
+        db.put(broken.clone()).unwrap();
 
         let mut cfg = small_cfg(oses, 1);
         cfg.check = true;
@@ -414,12 +417,7 @@ mod tests {
         assert_eq!(checked.stale.len(), 1);
         assert!(!checked.is_clean());
         // Nothing was repaired in check mode...
-        assert_eq!(
-            db.load_suite("kerla", apps()[0].name(), Workload::HealthCheck)
-                .unwrap()
-                .unwrap(),
-            broken
-        );
+        assert_eq!(db.get(&key).unwrap(), Some(broken));
         // ...but a normal sweep heals it.
         cfg.check = false;
         let healed = sweep_gentests(&db, apps(), &cfg).unwrap();

@@ -363,7 +363,8 @@ impl Stage for Baselines<'_> {
     }
 
     fn serve(&self, db: &Database, &(app, workload): &Self::Job, _: &Meta) -> Served<Self> {
-        Ok(db.load(self.apps[app].name(), workload)?)
+        let key = loupe_db::baseline_key(self.apps[app].name(), workload);
+        Ok(db.get(&key)?)
     }
 
     fn derive(
@@ -382,14 +383,12 @@ impl Stage for Baselines<'_> {
             // A forced re-measure merges conservatively with the stored
             // entry; report what the database now holds so summaries
             // match later reads.
-            db.save(&report)?;
-            db.load(&report.app, workload)?.unwrap_or(report)
+            db.put(report)?
         } else {
             // Anything else is replaced: merging with content produced
             // by other (or unknown) inputs would poison the fresh
             // measurement.
-            db.save_replacing(&report)?;
-            report
+            db.replace(report)?
         };
         let meta = report.is_linux_baseline().then(Meta::new);
         Ok(Derived::saved(report, meta))
@@ -563,11 +562,16 @@ mod tests {
         assert!(first.failures.is_empty());
         for n in &names {
             assert!(
-                db.load(n, Workload::HealthCheck).unwrap().is_some(),
+                db.get::<AppReport>(&loupe_db::baseline_key(n, Workload::HealthCheck))
+                    .unwrap()
+                    .is_some(),
                 "{n} persisted"
             );
         }
-        assert!(db.load("ghost", Workload::HealthCheck).unwrap().is_none());
+        assert!(db
+            .get::<AppReport>(&loupe_db::baseline_key("ghost", Workload::HealthCheck))
+            .unwrap()
+            .is_none());
 
         let apps: Vec<_> = registry::detailed().into_iter().take(4).collect();
         let second = health_sweep(2).run(&db, apps).unwrap();
@@ -667,9 +671,12 @@ mod tests {
             failure.error
         );
         assert!(
-            db.load("panicking-app", Workload::HealthCheck)
-                .unwrap()
-                .is_none(),
+            db.get::<AppReport>(&loupe_db::baseline_key(
+                "panicking-app",
+                Workload::HealthCheck
+            ))
+            .unwrap()
+            .is_none(),
             "nothing persisted for the panicked app"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -717,9 +724,12 @@ mod tests {
         assert_eq!(linux.cached, 0);
         assert_eq!(linux.reports[0].env, "linux");
         // Both measurements coexist under their own namespaces.
-        assert!(db.load(&name, Workload::HealthCheck).unwrap().is_some());
         assert!(db
-            .load_env("mid-plan", &name, Workload::HealthCheck)
+            .get::<AppReport>(&loupe_db::baseline_key(&name, Workload::HealthCheck))
+            .unwrap()
+            .is_some());
+        assert!(db
+            .get::<AppReport>(&loupe_db::env_key("mid-plan", &name, Workload::HealthCheck))
             .unwrap()
             .is_some());
         std::fs::remove_dir_all(&dir).ok();

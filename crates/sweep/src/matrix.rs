@@ -306,11 +306,11 @@ impl Stage for Cells<'_> {
         // survive tier composition.
         let stored_both = match prior {
             Provenance::Current(meta) => {
-                db.save_matrix_cell(&cell)?;
+                db.put(cell)?;
                 meta.get("tiers").is_some_and(|t| t == "both")
             }
             _ => {
-                db.save_matrix_cell_replacing(&cell)?;
+                db.replace(cell)?;
                 false
             }
         };
@@ -379,7 +379,11 @@ mod tests {
             assert!(row.planned_pass >= row.vanilla_pass, "{row:?}");
         }
         assert!(db
-            .load_matrix_cell("kerla", "redis", Workload::HealthCheck)
+            .get::<MatrixCell>(&loupe_db::matrix_key(
+                "kerla",
+                "redis",
+                Workload::HealthCheck
+            ))
             .unwrap()
             .is_some());
 
@@ -403,10 +407,8 @@ mod tests {
         let mut cfg = small_cfg(oses, 1);
         cfg.tier = Some(Tier::Vanilla);
         sweep_matrix(&db, apps(), &cfg).unwrap();
-        let cell = db
-            .load_matrix_cell("kerla", apps()[0].name(), Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
+        let key = loupe_db::matrix_key("kerla", apps()[0].name(), Workload::HealthCheck);
+        let cell: MatrixCell = db.get(&key).unwrap().unwrap();
         assert!(cell.vanilla.is_some());
         assert!(cell.planned.is_none(), "planned tier not measured yet");
 
@@ -414,10 +416,7 @@ mod tests {
         cfg.tier = None;
         let full = sweep_matrix(&db, apps(), &cfg).unwrap();
         assert_eq!(full.matrix.as_ref().unwrap().analyzed, 2);
-        let cell = db
-            .load_matrix_cell("kerla", apps()[0].name(), Workload::HealthCheck)
-            .unwrap()
-            .unwrap();
+        let cell: MatrixCell = db.get(&key).unwrap().unwrap();
         assert!(cell.vanilla.is_some() && cell.planned.is_some());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -124,7 +124,7 @@ impl Stage for Validations<'_> {
     }
 
     fn serve(&self, db: &Database, &(workload, os): &Self::Job, _: &Meta) -> Served<Self> {
-        Ok(db.load_plan_validation(&self.oses[os].name, workload)?)
+        Ok(db.get(&loupe_db::plan_key(&self.oses[os].name, workload))?)
     }
 
     /// Overwrites: a validation describes one deterministic replay.
@@ -139,8 +139,7 @@ impl Stage for Validations<'_> {
                 os: spec.name.clone(),
                 error,
             })?;
-        db.save_plan_validation(&validation)?;
-        Ok(Derived::saved(validation, Some(Meta::new())))
+        Ok(Derived::saved(db.put(validation)?, Some(Meta::new())))
     }
 
     fn panicked(&self, &(workload, os): &Self::Job, message: String) -> PlanSweepError {
@@ -204,7 +203,7 @@ mod tests {
                 v.to_table()
             );
             let stored = db
-                .load_plan_validation(&v.os, v.workload)
+                .get::<PlanValidation>(&loupe_db::plan_key(&v.os, v.workload))
                 .unwrap()
                 .expect("persisted");
             assert_eq!(&stored, v);
@@ -214,7 +213,7 @@ mod tests {
         assert!(bare.initial.is_empty());
         assert_eq!(bare.steps.len(), 12);
         assert_eq!(
-            db.list_plan_validations().unwrap().len(),
+            db.keys::<PlanValidation>().unwrap().len(),
             2,
             "one verdict per (os, workload)"
         );

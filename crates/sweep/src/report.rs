@@ -16,6 +16,7 @@ use loupe_core::AppReport;
 use loupe_db::{Database, DbError};
 use loupe_gentests::{CaseExpectation, ConformanceSuite};
 use loupe_plan::{os, MatrixCell, PlanValidation, SupportPlan, Tier};
+use loupe_static::StaticReport;
 use loupe_syscalls::SysnoSet;
 
 use crate::{matrix, FleetStats};
@@ -101,13 +102,12 @@ pub fn reports_by_workload(db: &Database) -> Result<BTreeMap<Workload, Vec<AppRe
 /// static namespace (some apps analysed, others not).
 pub fn render(db: &Database) -> Result<RenderedDocs, DbError> {
     let grouped = reports_by_workload(db)?;
-    let mut validations = BTreeMap::new();
-    for (os_name, workload) in db.list_plan_validations()? {
-        if let Some(v) = db.load_plan_validation(&os_name, workload)? {
-            validations.insert((workload, os_name), v);
-        }
-    }
-    let has_statics = !db.list_static()?.is_empty();
+    let validations = db
+        .all::<PlanValidation>()?
+        .into_iter()
+        .map(|v| ((v.workload, v.os.clone()), v))
+        .collect();
+    let has_statics = !db.keys::<StaticReport>()?.is_empty();
     let cells = db.load_matrix()?;
     let mut files = vec![
         (
@@ -1237,7 +1237,8 @@ mod tests {
     fn app_pages_cover_every_stored_app() {
         let (dir, db) = seeded_db("pages", 4);
         let rendered = render(&db).unwrap();
-        for (app, _) in db.list().unwrap() {
+        for report in db.all::<AppReport>().unwrap() {
+            let app = &report.app;
             assert!(
                 rendered
                     .files

@@ -46,7 +46,7 @@ pub struct StaticSweepSummary {
     /// The reports analysed fresh in this sweep, deterministically
     /// ordered by `(app, level)`. Cache hits are answered from the
     /// provenance manifest without re-reading (or re-parsing) the
-    /// stored artifact — load them with [`Database::load_static`] if
+    /// stored artifact — load them with [`Database::get`] if
     /// their content is needed.
     pub reports: Vec<StaticReport>,
 }
@@ -156,8 +156,7 @@ impl Stage for Ladder {
     /// Overwrites: static analysis is pure, there is nothing to merge.
     fn derive(&self, db: &Database, &(app, level): &Self::Job, _: &Provenance) -> Fresh<Self> {
         let graph = self.graphs[app].get_or_init(|| ProgramGraph::lower(self.apps[app].as_ref()));
-        let report = analyze_graph(graph, level);
-        db.save_static(&report)?;
+        let report = db.put(analyze_graph(graph, level))?;
         Ok(Derived::saved(Some(report), Some(Meta::new())))
     }
 
@@ -436,7 +435,7 @@ fn compare_workload(
 
     for report in reports {
         let load = |level: Level| -> Result<StaticReport, CompareError> {
-            db.load_static(level, &report.app)?
+            db.get(&loupe_db::static_key(level, &report.app))?
                 .ok_or_else(|| CompareError::MissingStatic {
                     app: report.app.clone(),
                     level,
@@ -848,7 +847,7 @@ mod tests {
         let first = sweep_static(&db, apps(), 2, false).unwrap();
         assert_eq!(first.analyzed, 20, "5 apps x 4 levels");
         assert_eq!(first.cached, 0);
-        assert_eq!(db.list_static().unwrap().len(), 20);
+        assert_eq!(db.keys::<StaticReport>().unwrap().len(), 20);
 
         let second = sweep_static(&db, apps(), 2, false).unwrap();
         assert_eq!(second.analyzed, 0, "second sweep is pure cache hits");
@@ -859,7 +858,10 @@ mod tests {
         );
         // What the db stores is exactly what the first sweep analysed.
         for r in &first.reports {
-            let stored = db.load_static(r.level, &r.app).unwrap().unwrap();
+            let stored = db
+                .get::<StaticReport>(&loupe_db::static_key(r.level, &r.app))
+                .unwrap()
+                .unwrap();
             assert_eq!(&stored, r);
         }
 
@@ -880,7 +882,7 @@ mod tests {
         let partial = sweep_static_levels(&db, apps(), &[Level::L2], 1, false).unwrap();
         assert_eq!(partial.analyzed, 3);
         assert!(partial.reports.iter().all(|r| r.level == Level::L2));
-        assert_eq!(db.list_static().unwrap().len(), 3);
+        assert_eq!(db.keys::<StaticReport>().unwrap().len(), 3);
 
         // Filling in the rest reuses the L2 entries.
         let full = sweep_static(&db, apps(), 1, false).unwrap();

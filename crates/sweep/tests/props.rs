@@ -49,7 +49,7 @@ fn nested_sets(chunk: &[usize]) -> (SysnoSet, [SysnoSet; 4]) {
 /// produced by [`nested_sets`]).
 fn save_ladder(db: &Database, app: &str, fine_first: &[SysnoSet; 4]) {
     for (i, &level) in Level::ALL.iter().enumerate() {
-        db.save_static(&StaticReport {
+        db.put(StaticReport {
             app: app.to_owned(),
             level,
             syscalls: fine_first[3 - i].clone(),
@@ -117,7 +117,7 @@ proptest! {
         for (i, chunk) in chunks.iter().enumerate() {
             let (dynamic, ladder) = nested_sets(chunk);
             let app = format!("prop-app-{i}");
-            db.save(&synthetic_report(&app, &dynamic)).unwrap();
+            db.put(synthetic_report(&app, &dynamic)).unwrap();
             save_ladder(&db, &app, &ladder);
         }
 
@@ -181,7 +181,7 @@ proptest! {
         let crippled: SysnoSet = dynamic.iter().skip(1).collect();
         let dir = tmpdir("violation", seed.iter().sum::<usize>() % 7919);
         let db = Database::open(&dir).unwrap();
-        db.save(&synthetic_report("broken", &dynamic)).unwrap();
+        db.put(synthetic_report("broken", &dynamic)).unwrap();
         let broken = [crippled, ladder[1].clone(), ladder[2].clone(), ladder[3].clone()];
         save_ladder(&db, "broken", &broken);
 

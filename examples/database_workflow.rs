@@ -8,7 +8,7 @@
 
 use loupe::apps::{registry, Workload};
 use loupe::core::{AnalysisConfig, Engine};
-use loupe::db::Database;
+use loupe::db::{baseline_key, Database};
 use loupe::plan::{os, SupportPlan};
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
         let report = engine
             .analyze(app.as_ref(), Workload::Benchmark)
             .expect("baseline passes");
-        db.save(&report).expect("store");
+        let report = db.put(report).expect("store");
         println!(
             "uploaded {name}: {} traced, {} required",
             report.traced().len(),
@@ -31,11 +31,13 @@ fn main() {
         );
     }
 
-    // Contributor B re-measures one app (results merge conservatively).
+    // Contributor B re-measures one app: `put` merges conservatively
+    // with the stored entry and returns what is now stored.
     let app = registry::find("weborf").unwrap();
     let again = engine.analyze(app.as_ref(), Workload::Benchmark).unwrap();
-    db.save(&again).expect("merge");
-    let merged = db.load("weborf", Workload::Benchmark).unwrap().unwrap();
+    let merged = db.put(again).expect("merge");
+    let key = baseline_key("weborf", Workload::Benchmark);
+    assert_eq!(db.get(&key).unwrap().as_ref(), Some(&merged));
     println!(
         "weborf after second upload: counts doubled to {} total invocations",
         merged.traced.values().sum::<u64>()

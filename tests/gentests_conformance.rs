@@ -13,7 +13,8 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use loupe::apps::{registry, Workload};
-use loupe::db::Database;
+use loupe::db::{matrix_key, Database};
+use loupe::plan::MatrixCell;
 use loupe::plan::{os, Tier};
 use loupe::sweep::{report, sweep_gentests, GentestsConfig, MatrixConfig, SweepConfig};
 
@@ -78,13 +79,13 @@ fn generated_suites_reproduce_matrix_verdicts_fleet_wide() {
     let mut cells_checked = 0;
     let mut suites_with_flag_cases = 0;
     let mut flag_precise_failures = 0;
-    for (os_name, app, workload) in db.list_suites().unwrap() {
-        let suite = db.load_suite(&os_name, &app, workload).unwrap().unwrap();
+    for suite in db.load_suites().unwrap() {
+        let (os_name, app, workload) = (&suite.os, &suite.app, suite.workload);
         let cell = db
-            .load_matrix_cell(&os_name, &app, workload)
+            .get::<MatrixCell>(&matrix_key(os_name, app, workload))
             .unwrap()
             .expect("every suite has a matrix cell");
-        let spec = os::find(&os_name).unwrap();
+        let spec = os::find(os_name).unwrap();
         for tier in Tier::ALL {
             assert_eq!(
                 suite.verdict(&spec, tier),

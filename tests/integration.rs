@@ -154,7 +154,7 @@ fn full_pipeline_measure_store_plan() {
     for name in ["weborf", "webfsd", "sqlite"] {
         let app = registry::find(name).unwrap();
         let report = engine.analyze(app.as_ref(), Workload::HealthCheck).unwrap();
-        db.save(&report).unwrap();
+        db.put(report.clone()).unwrap();
     }
 
     let reqs = db.requirements(Workload::HealthCheck).unwrap();

@@ -157,7 +157,7 @@ fn every_db_save_path_takes_the_writer_lock() {
         .map(|f| format!("{}(", f.name))
         .collect();
 
-    let mut checked = 0usize;
+    let mut checked = Vec::new();
     let mut violations = Vec::new();
     for f in &fns {
         // The serializer itself is the one function allowed to call
@@ -168,17 +168,19 @@ fn every_db_save_path_takes_the_writer_lock() {
         let writes_directly = f.body.contains("write_json(");
         let writes_via_helper = locked_helpers.iter().any(|h| f.body.contains(h.as_str()));
         if writes_directly || writes_via_helper {
-            checked += 1;
+            checked.push(f.name.as_str());
             if !f.body.contains("lock_writers()") {
                 violations.push(format!("{}::{}", f.file, f.name));
             }
         }
     }
 
-    assert!(
-        checked >= 4,
-        "expected to find several write paths in loupe-db, found {checked} — \
-         did the scan or the crate layout change?"
+    checked.sort_unstable();
+    assert_eq!(
+        checked,
+        ["put", "replace"],
+        "expected the generic put/replace family to be loupe-db's write \
+         paths — did the scan or the crate layout change?"
     );
     assert!(
         violations.is_empty(),

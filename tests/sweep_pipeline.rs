@@ -4,6 +4,7 @@
 //! workflow behind the checked-in `docs/COMPATIBILITY.md`.
 
 use loupe::apps::{registry, Workload};
+use loupe::core::AppReport;
 use loupe::db::Database;
 use loupe::sweep::{report, FleetStats, Sweep, SweepConfig};
 
@@ -32,7 +33,7 @@ fn full_fleet_sweep_persists_and_renders() {
     assert!(summary.failures.is_empty(), "{:?}", summary.failures);
 
     // Every report is persisted and loadable.
-    assert_eq!(db.list().unwrap().len(), summary.reports.len());
+    assert_eq!(db.keys::<AppReport>().unwrap().len(), summary.reports.len());
     let stored = db.load_workload(Workload::HealthCheck).unwrap();
     assert_eq!(stored, summary.reports);
 
